@@ -16,7 +16,7 @@ from .core import (
     validate_embeddings,
     validate_tree,
 )
-from .decode import BeamConfig, beam_search, dot_scorer
+from .decode import BeamConfig, beam_search, beam_search_batch, dot_scorer
 from .metrics import EvalReport, evaluate_run, hit_at_k, ndcg_at_k, recall_at_k
 from .objectives import (
     LossWeights,
@@ -42,6 +42,7 @@ __all__ = [
     "TreeBuildConfig",
     "alignment_loss",
     "beam_search",
+    "beam_search_batch",
     "build_tree",
     "build_tree_with_stats",
     "compare_methods",

@@ -11,10 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EmbeddingMatrix, TreeBuildConfig
+from .core import METHODS, EmbeddingMatrix, TreeBuildConfig
 from .treebuild import build_tree_with_stats
-
-METHODS = ("constrained", "greedy", "hybrid")
 
 
 @dataclass(frozen=True)

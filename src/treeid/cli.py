@@ -3,20 +3,18 @@
 Exit codes: 0 success, 1 usage error, 2 data or validation error. Reruns with
 the same arguments, input files, and seed produce byte-identical output files
 for any --threads value (the TREEID_THREADS environment variable supplies the
-default worker count).
+default worker count). Only build-tree uses the workers: decode runs one
+batched beam search over all queries and accepts --threads without using it.
 """
 
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from . import bench as bench_mod
 from . import io as tio
 from .core import TreeBuildConfig, validate_tree
-from .decode import BeamConfig, beam_search, dot_scorer
+from .decode import BeamConfig, beam_search_batch, dot_scorer
 from .metrics import evaluate_run
 from .mincostflow import CostOverflowError, InfeasibleBoundsError
 from .treebuild import InvalidEmbeddingsError, build_tree, node_embeddings
@@ -184,19 +182,9 @@ def _cmd_decode(args) -> int:
     tree = tio.read_tree(args.tree)
     m = _read_embeddings_any(args.embeddings)
     queries = _read_embeddings_any(args.queries)
-    embs = node_embeddings(tree, m)
-    scorer = dot_scorer(embs, tree)
+    scorer = dot_scorer(node_embeddings(tree, m), tree)
     cfg = BeamConfig(beam_width=args.beam, top_n=args.top)
-    q = queries.as_array()
-
-    def one(i):
-        return beam_search(tree, scorer, q[i], cfg)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one, range(queries.n_items)))
-    else:
-        results = [one(i) for i in range(queries.n_items)]
+    results = beam_search_batch(tree, scorer, queries.as_array(), cfg)
     tio.write_ranking(results, args.out)
     return 0
 

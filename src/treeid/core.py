@@ -9,9 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-PAD_SENTINEL_DOC = "pad token value is always k, one past the largest branch ordinal"
-
-_METHODS = ("constrained", "greedy", "hybrid")
+METHODS = ("constrained", "greedy", "hybrid")
 
 
 @dataclass(frozen=True)
@@ -113,8 +111,8 @@ class TreeBuildConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"branching factor k must be >= 2, got {self.k}")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.greedy_threshold < self.k:
             raise ValueError(
                 f"greedy_threshold must be >= k, got {self.greedy_threshold} < {self.k}"
@@ -138,23 +136,132 @@ class TreeStructureError(ValueError):
     """Raised when token paths cannot be assembled into a coherent tree."""
 
 
-def _trim_paths(paths: np.ndarray, k: int) -> list[tuple[int, ...]]:
-    """Per-item token tuples truncated at the first pad (bulk conversion)."""
+@dataclass(frozen=True)
+class _Trie:
+    """The implicit trie of a path matrix, built level by level on arrays.
+
+    Rows are sorted lexicographically (tokens after a row's first pad count
+    as pads), so rows sharing a prefix are contiguous: a token change between
+    neighbours starts a node, and node ids come out breadth-first with each
+    level in path order. Repeated and prefix rows are kept for validation.
+    """
+
+    order: np.ndarray  # (n,) item of each sorted row
+    rows: np.ndarray  # (n, depth) sorted paths, pads past each row's end
+    repeat: np.ndarray  # (n,) bool, the sorted row equals the one before it
+    parent: np.ndarray  # (n_nodes,) -1 at the root, non-decreasing
+    token: np.ndarray  # (n_nodes,) branch ordinal under the parent
+    depth: np.ndarray  # (n_nodes,) tokens on the node's path
+    rank: np.ndarray  # (n_nodes,) sorted row of the node's first leaf
+    size: np.ndarray  # (n_nodes,) rows through the node
+    leaf: np.ndarray  # (n,) node where each sorted row ends
+
+    @classmethod
+    def build(cls, k: int, paths: np.ndarray) -> "_Trie":
+        """The trie of paths whose tokens before each row's first pad lie in [0, k)."""
+        n, depth = paths.shape
+        length = _real_lengths(k, paths)
+        # the smallest dtype holding k lets lexsort take its radix path
+        rows = np.where(np.arange(depth) < length[:, None], paths, k).astype(np.min_scalar_type(k))
+        order = np.lexsort(rows.T[::-1]) if depth else np.arange(n)
+        rows, length = rows[order], length[order]
+        node = np.zeros(n, dtype=np.int64)  # each row's node at the current level
+        leaf = np.where(length == 0, 0, -1)
+        fresh = np.arange(n) == 0  # the row's prefix differs from the row before
+        parts = [([-1], [0], [0], [0], [n])]  # parent, token, depth, rank, size
+        n_nodes = 1
+        for level in range(1, depth + 1):
+            col = rows[:, level - 1]
+            fresh[1:] |= col[1:] != col[:-1]
+            starts = fresh & (length >= level)
+            first = np.flatnonzero(starts)
+            parent = node[first]
+            node = np.where(length >= level, n_nodes - 1 + np.cumsum(starts), -1)
+            size = np.bincount(node[node >= 0] - n_nodes, minlength=first.size)
+            parts.append((parent, col[first], np.full(first.size, level), first, size))
+            leaf[length == level] = node[length == level]
+            n_nodes += first.size
+        parent, token, node_depth, rank, size = (
+            np.concatenate(p).astype(np.int32) for p in zip(*parts)
+        )
+        return cls(order, rows, ~fresh, parent, token, node_depth, rank, size, leaf)
+
+    def inner_leaf(self) -> int:
+        """First node, breadth-first, where one path ends and another goes on; else n_nodes."""
+        has_child = np.bincount(self.parent[1:], minlength=self.parent.size) > 0
+        return int(self.leaf[has_child[self.leaf]].min(initial=self.parent.size))
+
+    def violations(self, k: int, depth: int) -> list[str]:
+        """Depth, repeat, arity and balance messages, splits breadth-first.
+
+        Split messages stop at the first node where one path ends and another
+        goes on, which is named last.
+        """
+        violations = []
+        longest = int(self.depth[self.leaf].max(initial=0))
+        if longest != depth:
+            violations.append(f"declared depth {depth} but longest path has {longest} tokens")
+        dups = np.flatnonzero(self.repeat)
+        if dups.size:
+            row = dups[np.argmin(self.order[dups])]
+            first = np.flatnonzero(~self.repeat[: row + 1])[-1]
+            a, b = self.order[first], self.order[row]
+            return violations + [f"items {a} and {b} share the same path"]
+
+        par, tok, kid_size = self.parent[1:], self.token[1:], self.size[1:]
+        n_kids = np.bincount(par, minlength=self.parent.size)
+        split = self.size > k
+        lo = self.size // k
+        off = split[par] & ((kid_size < lo[par]) | (kid_size > lo[par] + 1))
+        # siblings are contiguous and ascending, so a leaf group of n uses
+        # ordinals 0..n-1 when it has n children, each numbered by its place
+        gap = ~split[par] & (tok != np.arange(par.size) - np.searchsorted(par, par))
+        bad = (n_kids > 0) & np.where(split, n_kids != k, n_kids != self.size)
+        bad[par[off | gap]] = True
+        stop = self.inner_leaf()
+        for v in np.flatnonzero(bad[:stop]).tolist():
+            n = int(self.size[v])
+            prefix = tuple(self.rows[self.rank[v], : self.depth[v]].tolist())
+            if not split[v]:
+                violations.append(
+                    f"leaf group of {n} items at prefix {prefix} must use ordinals 0..{n - 1} once each"
+                )
+                continue
+            if n_kids[v] != k:
+                violations.append(
+                    f"split of {n} items at prefix {prefix} has {n_kids[v]} children, expected {k}"
+                )
+            kids = np.arange(np.searchsorted(par, v), np.searchsorted(par, v, side="right"))
+            violations.extend(
+                f"split of {n} items at prefix {prefix}: child {tok[c]} has size {kid_size[c]}, "
+                f"outside [{n // k}, {n // k + 1}]"
+                for c in kids[off[kids]].tolist()
+            )
+        if stop < self.parent.size:
+            item = self.order[self.leaf == stop][0]
+            violations.append(f"path of item {item} is a prefix of another path")
+        return violations
+
+
+def _real_lengths(k: int, paths: np.ndarray) -> np.ndarray:
+    """Tokens before each row's first pad."""
     is_pad = paths == k
-    lens = np.where(is_pad.any(axis=1), is_pad.argmax(axis=1), paths.shape[1]).tolist()
-    return [tuple(row[:ln]) for row, ln in zip(paths.tolist(), lens)]
+    return np.where(is_pad.any(axis=1), is_pad.argmax(axis=1), paths.shape[1])
 
 
 @dataclass(frozen=True)
 class IdentifierTree:
-    """Balanced k-ary identifier tree: a node arena plus per-item token paths.
+    """Balanced k-ary identifier tree: per-item token paths plus a node arena.
 
     paths is an (n_items, depth) int32 matrix. Row i is item i's identifier:
     branch ordinals in [0, k-1] followed by pad tokens (value k) when the leaf
-    sits above the maximum depth. The arena is derived from paths, with node
-    ids assigned in breadth-first order so equal path sets produce identical
-    arenas. children[n] lists child node ids indexed by branch ordinal;
-    node_item[n] is the item at a leaf and -1 elsewhere.
+    sits above the maximum depth. The arena is derived from paths as flat
+    arrays, with node ids assigned in breadth-first order (each level in
+    lexicographic prefix order) so equal path sets produce identical arenas.
+    children[n, tok] is the child of node n on branch ordinal tok, or -1; the
+    table is min(k, n_items) wide, since no valid tree uses a larger ordinal.
+    node_item[n] is the item at a leaf and -1 elsewhere. node_rank orders
+    nodes by path: it is the lexicographic position of the node's first leaf.
     """
 
     k: int
@@ -162,9 +269,11 @@ class IdentifierTree:
     n_items: int
     paths: np.ndarray  # (n_items, depth) int32
     parent: np.ndarray  # (n_nodes,) int32, -1 at the root
-    children: tuple  # tuple of tuples of child node ids, index == branch ordinal
+    children: np.ndarray  # (n_nodes, min(k, n_items)) int32, -1 for no child
     node_item: np.ndarray  # (n_nodes,) int32, -1 for internal nodes
     leaf_of_item: np.ndarray  # (n_items,) int32
+    node_depth: np.ndarray  # (n_nodes,) int32, 0 at the root
+    node_rank: np.ndarray  # (n_nodes,) int32
 
     @property
     def pad_token(self) -> int:
@@ -172,79 +281,42 @@ class IdentifierTree:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.children)
+        return self.parent.size
 
     @classmethod
     def from_paths(cls, k: int, paths) -> "IdentifierTree":
         """Build the canonical arena for a path matrix.
 
         Tolerates unbalanced path sets (validate_tree reports those) but
-        rejects sets that cannot form a trie at all, such as duplicate paths
-        or a path that is a strict prefix of another.
+        rejects sets that cannot form a trie at all: duplicate paths, a path
+        that is a strict prefix of another, or a branch ordinal outside
+        [0, min(k, n_items)). Tokens after a row's first pad are ignored.
         """
-        paths = np.asarray(paths, dtype=np.int32)
+        paths = np.asarray(paths)
         if paths.ndim != 2:
             raise TreeStructureError("paths must be a 2-D matrix")
         n_items, depth = paths.shape
-        trimmed = _trim_paths(paths, k)
-
-        parent = [-1]
-        children: list[dict] = [{}]
-        node_item = [-1]
-        leaf_of_item = np.full(n_items, -1, dtype=np.int32)
-        # Breadth-first insertion: walk all paths one level at a time so node
-        # ids come out in canonical BFS order regardless of insertion order.
-        frontier = [(0, list(range(n_items)))]
-        level = 0
-        while frontier:
-            next_frontier = []
-            for node, items in frontier:
-                groups: dict[int, list[int]] = {}
-                for it in items:
-                    p = trimmed[it]
-                    if len(p) == level:
-                        if node_item[node] != -1 or groups:
-                            raise TreeStructureError(
-                                f"path of item {it} is a prefix of another path"
-                            )
-                        node_item[node] = it
-                        leaf_of_item[it] = node
-                    else:
-                        if node_item[node] != -1:
-                            raise TreeStructureError(
-                                f"path of item {node_item[node]} is a prefix of another path"
-                            )
-                        groups.setdefault(p[level], []).append(it)
-                if len(items) > 1 and node_item[node] != -1:
-                    raise TreeStructureError("duplicate path in tree")
-                for tok in sorted(groups):
-                    child = len(parent)
-                    parent.append(node)
-                    children.append({})
-                    node_item.append(-1)
-                    children[node][tok] = child
-                    next_frontier.append((child, groups[tok]))
-            frontier = next_frontier
-            level += 1
-
-        # Freeze children dicts into ordinal-indexed tuples. Missing ordinals
-        # (possible only for malformed inputs) are padded with -1.
-        frozen = []
-        for d in children:
-            if d:
-                width = max(d) + 1
-                frozen.append(tuple(d.get(t, -1) for t in range(width)))
-            else:
-                frozen.append(())
+        width = min(k, n_items)
+        real = np.arange(depth) < _real_lengths(k, paths)[:, None]
+        bad = real & ((paths < 0) | (paths >= width))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise TreeStructureError(
+                f"token {paths[i, j]} at item {i}, position {j} is not an ordinal below {width}"
+            )
+        trie = _Trie.build(k, paths)
+        if trie.repeat.any() or trie.inner_leaf() < trie.parent.size:
+            raise TreeStructureError("a path repeats another path or is a prefix of one")
+        n_nodes = trie.parent.size
+        children = np.full((n_nodes, width), -1, dtype=np.int32)
+        children[trie.parent[1:], trie.token[1:]] = np.arange(1, n_nodes)
+        node_item = np.full(n_nodes, -1, dtype=np.int32)
+        node_item[trie.leaf] = trie.order
+        leaf_of_item = np.empty(n_items, dtype=np.int32)
+        leaf_of_item[trie.order] = trie.leaf
         return cls(
-            k=k,
-            depth=depth,
-            n_items=n_items,
-            paths=paths,
-            parent=np.asarray(parent, dtype=np.int32),
-            children=tuple(frozen),
-            node_item=np.asarray(node_item, dtype=np.int32),
-            leaf_of_item=leaf_of_item,
+            k, depth, n_items, paths.astype(np.int32), trie.parent, children, node_item,
+            leaf_of_item, trie.depth, trie.rank,
         )
 
 
@@ -253,11 +325,10 @@ def validate_paths(k: int, depth: int, paths: np.ndarray) -> ValidationResult:
 
     Checks token ranges, the pad-suffix rule, path uniqueness and
     prefix-freeness, the per-split balance bounds, and that depth equals the
-    longest real path.
+    longest real path. Split messages come in breadth-first order.
     """
     violations = []
     paths = np.asarray(paths)
-    n_items = paths.shape[0]
     if paths.ndim != 2 or paths.shape[1] != depth:
         return ValidationResult(False, [f"paths must have shape (N, {depth})"])
 
@@ -267,71 +338,17 @@ def validate_paths(k: int, depth: int, paths: np.ndarray) -> ValidationResult:
         violations.append(f"token {paths[i, j]} out of range at item {i}, position {j}")
         return ValidationResult(False, violations)
 
-    is_pad = paths == k
+    length = _real_lengths(k, paths)
     # A real token after a pad breaks the suffix rule.
-    resumed = is_pad[:, :-1] & ~is_pad[:, 1:] if depth > 1 else np.zeros((n_items, 0), bool)
+    resumed = ((np.arange(depth) > length[:, None]) & (paths != k)).any(axis=1)
     if resumed.any():
-        i = int(np.argwhere(resumed)[0][0])
-        violations.append(f"item {i} has a non-pad token after a pad token")
-    if is_pad.all(axis=1).any():
-        i = int(np.argmax(is_pad.all(axis=1)))
-        violations.append(f"item {i} has an all-pad path")
+        violations.append(f"item {np.argmax(resumed)} has a non-pad token after a pad token")
+    if ((length == 0) & ~resumed).any():
+        violations.append(f"item {np.argmax((length == 0) & ~resumed)} has an all-pad path")
     if violations:
         return ValidationResult(False, violations)
 
-    trimmed = _trim_paths(paths.astype(np.int32), k)
-    longest = max(len(p) for p in trimmed)
-    if longest != depth:
-        violations.append(f"declared depth {depth} but longest path has {longest} tokens")
-
-    seen = {}
-    for it, p in enumerate(trimmed):
-        if p in seen:
-            violations.append(f"items {seen[p]} and {it} share the same path")
-            return ValidationResult(False, violations)
-        seen[p] = it
-
-    # Walk the implicit trie and check split arity and balance level by level.
-    frontier = [((), list(range(n_items)))]
-    while frontier:
-        next_frontier = []
-        for prefix, items in frontier:
-            n = len(items)
-            level = len(prefix)
-            groups: dict[int, list[int]] = {}
-            for it in items:
-                p = trimmed[it]
-                if len(p) == level:
-                    if n > 1:
-                        violations.append(
-                            f"path of item {it} is a prefix of another path"
-                        )
-                        return ValidationResult(False, violations)
-                else:
-                    groups.setdefault(p[level], []).append(it)
-            if not groups:
-                continue  # leaf
-            sizes = {tok: len(g) for tok, g in groups.items()}
-            if n > k:
-                lo, hi = n // k, n // k + 1
-                if len(groups) != k:
-                    violations.append(
-                        f"split of {n} items at prefix {prefix} has {len(groups)} children, expected {k}"
-                    )
-                for tok, s in sorted(sizes.items()):
-                    if not lo <= s <= hi:
-                        violations.append(
-                            f"split of {n} items at prefix {prefix}: child {tok} has size {s}, "
-                            f"outside [{lo}, {hi}]"
-                        )
-            else:
-                if sorted(groups) != list(range(n)) or any(s != 1 for s in sizes.values()):
-                    violations.append(
-                        f"leaf group of {n} items at prefix {prefix} must use ordinals 0..{n - 1} once each"
-                    )
-            next_frontier.extend((prefix + (tok,), g) for tok, g in sorted(groups.items()))
-        frontier = next_frontier
-
+    violations.extend(_Trie.build(k, paths).violations(k, depth))
     return ValidationResult(ok=not violations, violations=violations)
 
 

@@ -2,7 +2,10 @@
 
 Hypotheses only ever expand along edges that exist in the tree, so decoding
 cannot leave the set of valid identifiers. Scores are summed log-scores from a
-pluggable child scorer; scorers need not be normalized, only finite.
+pluggable child scorer; scorers need not be normalized, only finite. A
+per-node scorer(context, node) scores one node's children in ordinal order; a
+batched scorer(contexts, nodes) maps a (q, b) node matrix (-1: none) to
+(q, b, width) scores laid out like tree.children.
 """
 
 from dataclasses import dataclass
@@ -10,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IdentifierTree
+
+_CHUNK = 100  # queries per search: a dot scorer's gather stays a few MB
 
 
 @dataclass(frozen=True)
@@ -38,52 +43,86 @@ def beam_search(t: IdentifierTree, scorer, context, cfg: BeamConfig) -> list[tup
     its node; the beam keeps the cfg.beam_width best accumulated scores, ties
     going to the lexicographically smaller path. Hypotheses that reach a leaf
     above the maximum depth complete immediately and are never rescored, so
-    the scorer runs at most beam_width times per level. Returns the top_n
-    completed (item, log-score) pairs, best first.
+    the per-node scorer runs at most beam_width times per level. Returns the
+    top_n completed (item, log-score) pairs, best first.
     """
-    # (score, path, node); root may itself be the single leaf when N == 1
-    beam = [(0.0, (), 0)]
-    completed = []
-    live = beam if t.node_item[0] < 0 else []
-    if not live:
-        completed = beam
 
-    while live:
-        pool = completed[:]
-        for score, path, node in live:
-            kids = t.children[node]
-            raw = np.asarray(scorer(context, node), dtype=np.float64).ravel()
-            if raw.size != len(kids):
+    def batched(_, nodes):
+        out = np.zeros(nodes.shape + t.children.shape[1:])
+        for pos in zip(*np.nonzero(nodes >= 0)):
+            real = t.children[nodes[pos]] >= 0
+            raw = np.asarray(scorer(context, int(nodes[pos])), dtype=np.float64).ravel()
+            if raw.size != real.sum():
                 raise ScorerContractError(
-                    f"scorer returned {raw.size} scores for a node with {len(kids)} children"
+                    f"scorer returned {raw.size} scores for a node with {real.sum()} children"
                 )
-            if not np.isfinite(raw).all():
-                raise ScorerContractError("scorer returned a non-finite score")
-            for tok, child in enumerate(kids):
-                pool.append((score + float(raw[tok]), path + (tok,), child))
-        pool.sort(key=lambda h: (-h[0], h[1]))
-        beam = pool[: cfg.beam_width]
-        live = [h for h in beam if t.node_item[h[2]] < 0]
-        completed = [h for h in beam if t.node_item[h[2]] >= 0]
+            out[pos][real] = raw
+        return out
 
-    completed.sort(key=lambda h: (-h[0], h[1]))
-    return [(int(t.node_item[node]), score) for score, _, node in completed[: cfg.top_n]]
+    return beam_search_batch(t, batched, [context], cfg)[0]
+
+
+def beam_search_batch(
+    t: IdentifierTree, scorer, contexts, cfg: BeamConfig
+) -> list[list[tuple[int, float]]]:
+    """beam_search for every context at once, with a batched scorer.
+
+    Each query's beam is a row of node ids (-1: empty) in path order. A leaf
+    slot stands for itself in the pool and a live slot for its children, so
+    the pool is in path order too: its best scores, ties taken leftmost, are
+    the best by (-score, path).
+    """
+    b = cfg.beam_width
+    ranked = []
+    for lo in range(0, len(contexts), _CHUNK):
+        ctx = contexts[lo : lo + _CHUNK]
+        node = np.zeros((len(ctx), 1), dtype=np.int64)
+        score = np.zeros((len(ctx), 1))
+        while True:
+            live = (node >= 0) & (t.node_item[node] < 0)
+            if not live.any():
+                break
+            raw = np.asarray(scorer(ctx, np.where(live, node, -1)), dtype=np.float64)
+            child = np.where(live[..., None], t.children[node], -1)
+            if raw.shape != child.shape:
+                raise ScorerContractError(f"scorer returned shape {raw.shape}, not {child.shape}")
+            if not np.isfinite(raw[child >= 0]).all():
+                raise ScorerContractError("scorer returned a non-finite score")
+            child[..., 0] = np.where(live, child[..., 0], node)
+            score = np.where(live[..., None], score[..., None] + raw, score[..., None])
+            node, score = child.reshape(len(ctx), -1), score.reshape(len(ctx), -1)
+            key = np.where(node >= 0, -score, np.inf)
+            if key.shape[1] > b:
+                cut = np.partition(key, b - 1, axis=1)[:, b - 1 : b]
+                room = b - (key < cut).sum(axis=1, keepdims=True)
+                keep = (key < cut) | ((key == cut) & (np.cumsum(key == cut, axis=1) <= room))
+                cols = np.nonzero(keep)[1].reshape(len(ctx), b)
+                node, score = np.take_along_axis(node, cols, 1), np.take_along_axis(score, cols, 1)
+        order = np.argsort(np.where(node >= 0, -score, np.inf), axis=1, kind="stable")
+        node = np.take_along_axis(node, order[:, : cfg.top_n], 1)
+        score = np.take_along_axis(score, order[:, : cfg.top_n], 1)
+        for n, s in zip(node, score):
+            ranked.append(list(zip(t.node_item[n[n >= 0]].tolist(), s.tolist())))
+    return ranked
 
 
 def dot_scorer(node_embs: np.ndarray, t: IdentifierTree):
     """Child scorer scoring each child by the dot product with the query.
 
     node_embs is the per-node vector table (see treebuild.node_embeddings);
-    stands in for a trained decoder's next-token scores at desk scale.
+    stands in for a trained decoder's next-token scores at desk scale. Takes
+    both contracts, multiplying whole children-table rows in each, so a batch
+    scores bit-identically to its queries one by one.
     """
-    child_ids = [np.asarray(kids, dtype=np.int64) for kids in t.children]
+    dim = node_embs.shape[1]
 
-    def scorer(context, node: int) -> np.ndarray:
-        q = np.asarray(context, dtype=np.float64).ravel()
-        if q.size != node_embs.shape[1]:
-            raise ValueError(
-                f"query dim {q.size} does not match node embedding dim {node_embs.shape[1]}"
-            )
-        return node_embs[child_ids[node]] @ q
+    def scorer(context, node):
+        if np.ndim(node) == 0:  # one node: the scores of its real children
+            row = scorer(np.reshape(context, (1, -1)), np.full((1, 1), node))[0, 0]
+            return row[t.children[node] >= 0]
+        q = np.asarray(context, dtype=np.float64)
+        if q.ndim != 2 or q.shape[1] != dim:
+            raise ValueError(f"query shape {q.shape} does not match node embedding dim {dim}")
+        return (node_embs[t.children[node]] @ q[:, None, :, None])[..., 0]
 
     return scorer

@@ -159,30 +159,40 @@ def write_tree(t: IdentifierTree, sink):
 
 
 def read_tree(source) -> IdentifierTree:
-    """Parse tree JSON, rebuild the node arena from the paths, and revalidate."""
-    with _opened(source, "r") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise TreeFormatError(f"invalid JSON: {e}") from e
+    """Parse tree JSON, rebuild the node arena from the paths, and revalidate.
+
+    Header fields and tokens must be JSON integers; nothing is coerced.
+    """
+    try:
+        with _opened(source, "r") as f:
+            text = f.read()
+        doc = json.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raise TreeFormatError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict) or doc.get("format") != TREE_FORMAT:
         raise TreeFormatError(f"expected a {TREE_FORMAT} object")
-    try:
-        k = int(doc["k"])
-        depth = int(doc["depth"])
-        n_items = int(doc["n_items"])
-        pad = int(doc["pad_token"])
-        paths = np.asarray(doc["paths"], dtype=np.int32)
-    except (KeyError, TypeError, ValueError) as e:
-        raise TreeFormatError(f"malformed tree document: {e}") from e
-    if k < 2:
-        raise TreeFormatError(f"branching factor must be >= 2, got {k}")
+    for key in ("k", "depth", "n_items", "pad_token"):
+        if type(doc.get(key)) is not int:
+            raise TreeFormatError(f"{key} must be a JSON integer, got {doc.get(key)!r:.40}")
+    k, depth, n_items, pad = (doc[key] for key in ("k", "depth", "n_items", "pad_token"))
+    if not 2 <= k < 2**31:  # pads equal k in an int32 matrix
+        raise TreeFormatError(f"branching factor must be in [2, 2**31), got {k}")
     if pad != k:
         raise TreeFormatError(f"pad_token must equal k={k}, got {pad}")
-    if paths.ndim != 2 or paths.shape != (n_items, depth):
+    try:
+        paths = np.asarray(doc.get("paths"))
+    except ValueError as e:  # ragged rows
+        raise TreeFormatError(f"paths must be a matrix: {e}") from e
+    if paths.dtype.kind not in "iu":
+        raise TreeFormatError(f"paths must be a matrix of 64-bit JSON integers, read as {paths.dtype}")
+    if paths.shape != (n_items, depth):
         raise TreeFormatError(
             f"paths shape {paths.shape} does not match n_items={n_items}, depth={depth}"
         )
+    # booleans among integers infer an integer dtype, and need the literals
+    literal = "true" in text or "false" in text
+    if literal and any(type(x) is bool for row in doc["paths"] for x in row):
+        raise TreeFormatError("paths must hold JSON integers, got a boolean")
     res = validate_paths(k, depth, paths)
     if not res.ok:
         raise TreeFormatError("; ".join(res.violations))
@@ -213,14 +223,6 @@ def write_bench_rows(rows, sink):
             w.writerow(
                 [r.method, r.n_items, r.dim, r.k, r.seed, _fmt(r.build_seconds), _fmt(r.total_sse)]
             )
-
-
-def write_report(report_or_rows, sink):
-    """Write an EvalReport or a list of bench rows as CSV."""
-    if isinstance(report_or_rows, EvalReport):
-        write_eval_report(report_or_rows, sink)
-    else:
-        write_bench_rows(report_or_rows, sink)
 
 
 def write_ranking(results, sink):

@@ -119,25 +119,14 @@ def item_of(t: IdentifierTree, path) -> int | None:
     Accepts padded or unpadded token sequences. Any out-of-range token, a real
     token after a pad, or a walk that ends anywhere but a leaf yields None.
     """
-    tokens = [int(x) for x in np.asarray(path).ravel()]
-    trimmed = []
-    seen_pad = False
-    for tok in tokens:
+    node, seen_pad = 0, False
+    for tok in (int(x) for x in np.asarray(path).ravel()):
         if tok == t.k:
             seen_pad = True
-            continue
-        if seen_pad or tok < 0 or tok > t.k:
+        elif seen_pad or not 0 <= tok < t.children.shape[1] or t.children[node, tok] < 0:
             return None
-        trimmed.append(tok)
-    node = 0
-    for tok in trimmed:
-        kids = t.children[node]
-        if tok >= len(kids):
-            return None
-        nxt = kids[tok]
-        if nxt < 0:
-            return None
-        node = nxt
+        else:
+            node = int(t.children[node, tok])
     item = int(t.node_item[node])
     return item if item >= 0 else None
 
@@ -154,17 +143,20 @@ def node_embeddings(t: IdentifierTree, X) -> np.ndarray:
             f"embedding matrix shape {pts.shape} does not cover the tree's {t.n_items} items"
         )
     pts = pts.astype(np.float64)
-    n_nodes = t.n_nodes
-    sums = np.zeros((n_nodes, pts.shape[1]), dtype=np.float64)
+    n_nodes, dim = t.n_nodes, pts.shape[1]
+    sums = np.zeros((n_nodes, dim), dtype=np.float64)
     counts = np.zeros(n_nodes, dtype=np.int64)
     sums[t.leaf_of_item] = pts
     counts[t.leaf_of_item] = 1
 
-    node_depth = np.zeros(n_nodes, dtype=np.int32)
-    for nid in range(1, n_nodes):
-        node_depth[nid] = node_depth[t.parent[nid]] + 1
-    for d in range(int(node_depth.max()), 0, -1):
-        ids = np.nonzero(node_depth == d)[0]
-        np.add.at(sums, t.parent[ids], sums[ids])
-        np.add.at(counts, t.parent[ids], counts[ids])
+    # Deepest level first; bincount adds each parent's children in id order
+    # from zero, the order of a sequential per-child accumulation.
+    for d in range(int(t.node_depth.max()), 0, -1):
+        ids = np.flatnonzero(t.node_depth == d)
+        step = np.diff(t.parent[ids], prepend=-1) != 0  # parents never decrease
+        par, slot = t.parent[ids][step], np.cumsum(step) - 1
+        flat = (slot[:, None] * dim + np.arange(dim)).ravel()
+        seg = np.bincount(flat, weights=sums[ids].ravel(), minlength=par.size * dim)
+        sums[par] = seg.reshape(-1, dim)
+        counts[par] = np.bincount(slot, weights=counts[ids], minlength=par.size)
     return sums / counts[:, None]

@@ -15,6 +15,8 @@ from treeid.core import (
 )
 from treeid.treebuild import build_tree
 
+from conftest import naive_arena, naive_violations, rand_tree
+
 
 def test_validate_embeddings_ok():
     m = EmbeddingMatrix(n_items=2, dim=2, values=np.array([1, 2, 3, 4], dtype=np.float32))
@@ -135,3 +137,106 @@ def test_random_builds_validate_all_methods():
             t = build_tree(X, cfg)
             res = validate_tree(t)
             assert res.ok, (method, n, k, res.violations)
+
+
+def dense_children(frozen, width):
+    table = np.full((len(frozen), width), -1, dtype=np.int64)
+    for node, kids in enumerate(frozen):
+        table[node, : len(kids)] = kids
+    return table
+
+
+def assert_matches_naive_walk(k, paths):
+    """from_paths and validate_paths agree with the Python trie walks."""
+    paths = np.asarray(paths)
+    n, depth = paths.shape
+    assert validate_paths(k, depth, paths).violations == naive_violations(k, depth, paths)
+    width = min(k, n)
+    pad_seen = np.cumsum(paths == k, axis=1) > 0
+    if (~pad_seen & ((paths < 0) | (paths >= width))).any():
+        with pytest.raises(TreeStructureError):
+            IdentifierTree.from_paths(k, paths)
+        return
+    try:
+        parent, frozen, node_item, leaf_of_item = naive_arena(k, paths)
+    except ValueError:
+        with pytest.raises(TreeStructureError):
+            IdentifierTree.from_paths(k, paths)
+        return
+    t = IdentifierTree.from_paths(k, paths)
+    assert t.parent.tolist() == parent
+    assert np.array_equal(t.children, dense_children(frozen, width))
+    assert t.node_item.tolist() == node_item
+    assert t.leaf_of_item.tolist() == leaf_of_item
+
+
+def corrupt(rng, paths, k):
+    """One random defect: duplicate, prefix, moved item, pad break, bad token."""
+    p = paths.copy()
+    n, depth = p.shape
+    i, j = (int(x) for x in rng.integers(n, size=2))
+    kind = int(rng.integers(6))
+    length = int(np.argmax(p[i] == k)) if (p[i] == k).any() else depth
+    if kind == 0:
+        p[j] = p[i]
+    elif kind == 1 and length >= 2:
+        p[j] = k
+        p[j, : length - 1] = p[i, : length - 1]
+    elif kind == 2:
+        p[i, 0] = (p[i, 0] + 1 + int(rng.integers(k - 1))) % k
+    elif kind == 3 and depth >= 2:
+        pos = int(rng.integers(depth - 1))
+        p[i, pos] = k
+        p[i, pos + 1] = int(rng.integers(k))
+    elif kind == 4:
+        p[i, int(rng.integers(depth))] = int(rng.choice([-1, k + 1, k + 7]))
+    else:
+        p[i, int(rng.integers(depth))] = int(rng.integers(k + 1))
+    return p
+
+
+def test_arena_matches_naive_walk_on_built_trees():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(1, 300))
+        k = int(rng.integers(2, 9))
+        t = rand_tree(rng, n, k, method=str(rng.choice(["greedy", "hybrid"])))
+        assert_matches_naive_walk(k, t.paths)
+        assert validate_paths(k, t.depth, t.paths).ok
+
+
+def test_arena_matches_naive_walk_on_corrupted_paths():
+    rng = np.random.default_rng(32)
+    for _ in range(400):
+        n = int(rng.integers(2, 120))
+        k = int(rng.integers(2, 7))
+        t = rand_tree(rng, n, k)
+        p = t.paths
+        for _ in range(int(rng.integers(1, 4))):
+            p = corrupt(rng, p, k)
+        assert_matches_naive_walk(k, p)
+
+
+def test_arena_matches_naive_walk_on_random_matrices():
+    # mostly unbalanced trees, gaps in the ordinals and chains of one child
+    rng = np.random.default_rng(33)
+    for _ in range(300):
+        k = int(rng.integers(2, 6))
+        n = int(rng.integers(1, 12))
+        depth = int(rng.integers(1, 4))
+        assert_matches_naive_walk(k, rng.integers(0, k + 1, size=(n, depth)))
+
+
+def test_node_rank_orders_leaves_by_path():
+    rng = np.random.default_rng(34)
+    for _ in range(10):
+        t = rand_tree(rng, int(rng.integers(2, 200)), int(rng.integers(2, 6)))
+        by_path = sorted(range(t.n_items), key=lambda i: t.paths[i].tolist())
+        assert np.argsort(t.node_rank[t.leaf_of_item]).tolist() == by_path
+
+
+def test_children_table_is_at_most_n_items_wide():
+    t = IdentifierTree.from_paths(1_000_000, np.array([[0], [1], [2]]))
+    assert t.children.shape == (4, 3)
+    with pytest.raises(TreeStructureError):
+        IdentifierTree.from_paths(8, np.array([[0], [5]]))

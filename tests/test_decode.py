@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treeid.core import IdentifierTree, TreeBuildConfig
-from treeid.decode import BeamConfig, ScorerContractError, beam_search, dot_scorer
+from treeid.decode import BeamConfig, ScorerContractError, beam_search, beam_search_batch, dot_scorer
 from treeid.treebuild import build_tree, node_embeddings
 
 from conftest import exhaustive_ranking, rand_tree, table_scorer
@@ -177,3 +177,92 @@ class TestDotScorer:
         scorer = dot_scorer(embs, t)
         with pytest.raises(ValueError):
             beam_search(t, scorer, np.zeros(3), BeamConfig(2, 1))
+
+
+class TestBatchedSearch:
+    @staticmethod
+    def dot_setup(rng, n, k, dim=4):
+        X = rng.normal(size=(n, dim))
+        t = rand_tree(rng, n, k, dim=dim)
+        return t, dot_scorer(node_embeddings(t, X), t), X
+
+    def test_batch_equals_one_query_at_a_time(self):
+        # 230 queries span several internal chunks
+        rng = np.random.default_rng(40)
+        for _ in range(4):
+            n, k = int(rng.integers(2, 400)), int(rng.integers(2, 9))
+            t, scorer, X = self.dot_setup(rng, n, k)
+            Q = X[rng.integers(n, size=230)] + rng.normal(0.0, 0.3, size=(230, X.shape[1]))
+            b = int(rng.integers(1, 30))
+            cfg = BeamConfig(beam_width=b, top_n=int(rng.integers(1, b + 1)))
+            assert beam_search_batch(t, scorer, Q, cfg) == [beam_search(t, scorer, q, cfg) for q in Q]
+
+    def test_full_width_equals_exhaustive(self):
+        rng = np.random.default_rng(41)
+        for _ in range(15):
+            n, k = int(rng.integers(2, 120)), int(rng.integers(2, 6))
+            t, scorer, X = self.dot_setup(rng, n, k)
+            Q = rng.normal(size=(3, X.shape[1]))
+            got = beam_search_batch(t, scorer, Q, BeamConfig(beam_width=n, top_n=n))
+            for q, ranked in zip(Q, got):
+                want = exhaustive_ranking(t, scorer, q)
+                assert [i for i, _ in ranked] == [i for i, _ in want]
+                assert np.allclose([s for _, s in ranked], [s for _, s in want])
+
+    def test_ties_fall_to_path_order(self):
+        # integer-valued child scores tie often; the path decides, including
+        # for leaves that complete above the maximum depth
+        rng = np.random.default_rng(42)
+        for _ in range(30):
+            n, k = int(rng.integers(2, 150)), int(rng.integers(2, 6))
+            t = rand_tree(rng, n, k)
+            tables = rng.integers(0, 3, size=(4,) + t.children.shape).astype(np.float64)
+
+            def batched(contexts, nodes):
+                return tables[np.asarray(contexts)[:, None], nodes]
+
+            def per_node(c):
+                return lambda _, node: tables[c, node][t.children[node] >= 0]
+
+            b = int(rng.integers(1, n + 1))
+            cfg = BeamConfig(beam_width=b, top_n=int(rng.integers(1, b + 1)))
+            got = beam_search_batch(t, batched, np.arange(4), cfg)
+            assert got == [beam_search(t, per_node(c), None, cfg) for c in range(4)]
+            full = beam_search_batch(t, batched, np.arange(4), BeamConfig(n, n))
+            for c in range(4):
+                want = exhaustive_ranking(t, per_node(c), None)
+                assert [i for i, _ in full[c]] == [i for i, _ in want]
+
+    def test_zero_query_ranks_by_path(self):
+        rng = np.random.default_rng(43)
+        t, scorer, X = self.dot_setup(rng, 90, 4)
+        (ranked,) = beam_search_batch(t, scorer, np.zeros((1, X.shape[1])), BeamConfig(90, 90))
+        assert [i for i, _ in ranked] == sorted(range(90), key=lambda i: t.paths[i].tolist())
+        assert all(s == 0.0 for _, s in ranked)
+
+    def test_one_scorer_call_per_level(self):
+        rng = np.random.default_rng(44)
+        t, scorer, X = self.dot_setup(rng, 300, 3)
+        calls = []
+
+        def counting(contexts, nodes):
+            calls.append(nodes.shape)
+            return scorer(contexts, nodes)
+
+        beam_search_batch(t, counting, X[:7], BeamConfig(10, 5))
+        assert len(calls) <= t.depth
+        assert all(shape[0] == 7 and shape[1] <= 10 for shape in calls)
+
+    def test_contract_violations(self):
+        t = depth2_binary_tree()
+        contexts = np.zeros((2, 1))
+
+        def wrong_shape(contexts, nodes):
+            return np.zeros(nodes.shape + (3,))
+
+        def non_finite(contexts, nodes):
+            return np.full(nodes.shape + (2,), np.nan)
+
+        for scorer in (wrong_shape, non_finite):
+            with pytest.raises(ScorerContractError):
+                beam_search_batch(t, scorer, contexts, BeamConfig(2, 1))

@@ -3,10 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeid import io as tio
 from treeid.bench import BenchRow
-from treeid.core import EmbeddingMatrix, TreeBuildConfig
+from treeid.cli import run as cli_run
+from treeid.core import EmbeddingMatrix, TreeBuildConfig, validate_tree
 from treeid.metrics import EvalReport
 from treeid.treebuild import build_tree
 
@@ -148,18 +151,123 @@ class TestTreeJson:
             tio.read_tree(stdio.StringIO(json.dumps(doc)))
 
 
+def tree_doc(**fields):
+    doc = {"format": "treeid-v1", "k": 2, "depth": 1, "n_items": 2, "pad_token": 2, "paths": [[0], [1]]}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+class TestTreeJsonTypes:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(paths=[[0.9], [1.2]]),
+            dict(paths=[[0.0], [1.0]]),
+            dict(paths=[[False], [True]]),
+            dict(paths=[[0], [True]]),
+            dict(paths=[["0"], ["1"]]),
+            dict(paths=[[0], [None]]),
+            dict(paths=[[0], [1, 0]]),
+            dict(paths=[[0], [2**32 + 1]]),
+            dict(paths=[[0], [2**64]]),
+            dict(paths=[[0], [-(2**63) - 1]]),
+            dict(k="2", pad_token="2"),
+            dict(k=2.0),
+            dict(k=True),
+            dict(depth=1.0),
+            dict(n_items=2.7),
+            dict(pad_token=False),
+            dict(k=2**31, pad_token=2**31),
+        ],
+    )
+    def test_rejected(self, fields):
+        with pytest.raises(tio.TreeFormatError):
+            tio.read_tree(stdio.StringIO(tree_doc(**fields)))
+
+    def test_strings_holding_literals_are_harmless(self):
+        t = tio.read_tree(stdio.StringIO(tree_doc(note="true or false")))
+        assert t.paths.tolist() == [[0], [1]]
+
+    def test_huge_token_exits_2(self, tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_text(tree_doc(paths=[[0], [2**32 + 1]]))
+        assert cli_run(["verify", "--tree", str(path)]) == 2
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.integers(min_value=-2, max_value=9)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=8,
+)
+BASE = {"format": "treeid-v1", "k": 3, "depth": 2, "n_items": 7, "pad_token": 3,
+        "paths": [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [2, 0], [2, 1]]}
+
+
+@st.composite
+def tree_documents(draw):
+    """The valid BASE document with a few random edits, as JSON text."""
+    doc = json.loads(json.dumps(BASE))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["field", "token", "row", "drop", "paths"]))
+        if kind == "field":
+            doc[draw(st.sampled_from(sorted(BASE)))] = draw(JSON_VALUES)
+        elif kind == "drop":
+            doc.pop(draw(st.sampled_from(sorted(BASE))), None)
+        elif kind == "paths":
+            doc["paths"] = draw(JSON_VALUES)
+        elif isinstance(doc.get("paths"), list) and doc["paths"]:
+            i = draw(st.integers(0, len(doc["paths"]) - 1))
+            row = doc["paths"][i]
+            if kind == "token" and isinstance(row, list) and row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(JSON_VALUES)
+            else:
+                doc["paths"][i] = draw(JSON_VALUES)
+    text = json.dumps(doc)
+    if draw(st.booleans()) and draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=tree_documents())
+def test_fuzzed_tree_documents(text, scratch_dir):
+    """A malformed document is a TreeFormatError and exit 2, never a traceback."""
+    try:
+        t = tio.read_tree(stdio.StringIO(text))
+    except tio.TreeFormatError:
+        t = None
+    if t is not None:  # the edits left a well-formed tree: every value an int
+        doc = json.loads(text)
+        assert all(type(doc[key]) is int for key in ("k", "depth", "n_items", "pad_token"))
+        assert all(type(tok) is int for row in doc["paths"] for tok in row)
+        assert validate_tree(t).ok
+    path = scratch_dir / "tree.json"
+    path.write_text(text)
+    assert cli_run(["verify", "--tree", str(path)]) == (2 if t is None else 0)
+
+
 class TestReports:
     def test_eval_report_csv(self):
         rep = EvalReport(values={("recall", 20): 0.123456789}, n_users=4)
         buf = stdio.StringIO()
-        tio.write_report(rep, buf)
+        tio.write_eval_report(rep, buf)
         lines = buf.getvalue().splitlines()
         assert lines == ["metric,cutoff,value", "recall,20,0.123457"]
 
     def test_bench_rows_csv(self):
         row = BenchRow("greedy", 1000, 16, 8, 0, 0.123456789, 98765.4321)
         buf = stdio.StringIO()
-        tio.write_report([row], buf)
+        tio.write_bench_rows([row], buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "method,n_items,dim,k,seed,build_seconds,total_sse"
         assert lines[1].startswith("greedy,1000,16,8,0,")
@@ -167,7 +275,7 @@ class TestReports:
     def test_reparse_six_significant_digits(self):
         rep = EvalReport(values={("ndcg", 50): 0.6309297535}, n_users=1)
         buf = stdio.StringIO()
-        tio.write_report(rep, buf)
+        tio.write_eval_report(rep, buf)
         value = float(buf.getvalue().splitlines()[1].split(",")[2])
         assert value == pytest.approx(0.6309297535, abs=5e-7)
 

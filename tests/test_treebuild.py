@@ -13,6 +13,8 @@ from treeid.treebuild import (
     path_of,
 )
 
+from conftest import rand_tree
+
 
 def test_small_group_gets_sequential_identifiers():
     X = np.random.default_rng(0).normal(size=(5, 4)).astype(np.float32)
@@ -153,3 +155,30 @@ def test_stats_sum_split_costs():
     _, stats = build_tree_with_stats(X, TreeBuildConfig(k=4, seed=0))
     assert stats.total_sse > 0
     assert stats.n_splits >= 1
+
+
+def loop_node_embeddings(t, X):
+    """Per-child sequential sums, deepest level first: the reference order."""
+    pts = np.asarray(X, dtype=np.float64)
+    sums = np.zeros((t.n_nodes, pts.shape[1]))
+    counts = np.zeros(t.n_nodes, dtype=np.int64)
+    sums[t.leaf_of_item] = pts
+    counts[t.leaf_of_item] = 1
+    depth = [0] * t.n_nodes
+    for nid in range(1, t.n_nodes):
+        depth[nid] = depth[t.parent[nid]] + 1
+    for d in range(max(depth), 0, -1):
+        for nid in range(t.n_nodes):
+            if depth[nid] == d:
+                sums[t.parent[nid]] += sums[nid]
+                counts[t.parent[nid]] += counts[nid]
+    return sums / counts[:, None]
+
+
+def test_node_embeddings_bit_identical_to_sequential_sums():
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        n, k = int(rng.integers(2, 500)), int(rng.integers(2, 9))
+        X = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 4)
+        t = rand_tree(rng, n, k)
+        assert np.array_equal(node_embeddings(t, X), loop_node_embeddings(t, X))
