@@ -63,14 +63,14 @@ class BenchRow:
     total_sse: float
 
 
-def _timed_build(X, cfg: TreeBuildConfig, repeats: int, warmup: bool, threads: int) -> BenchRow:
+def _timed_build(X, cfg: TreeBuildConfig, repeats: int, warmup: bool) -> BenchRow:
     if warmup:
-        build_tree_with_stats(X, cfg, threads=threads)
+        build_tree_with_stats(X, cfg)
     times = []
     stats = None
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        _, stats = build_tree_with_stats(X, cfg, threads=threads)
+        _, stats = build_tree_with_stats(X, cfg)
         times.append(time.perf_counter() - t0)
     return BenchRow(
         method=cfg.method,
@@ -90,7 +90,6 @@ def time_builds(
     cfg: TreeBuildConfig,
     repeats: int = 3,
     warmup: bool = True,
-    threads: int = 1,
 ) -> list[BenchRow]:
     """Build a tree per (size, method) cell and record wall seconds and SSE.
 
@@ -107,7 +106,7 @@ def time_builds(
     for n in sizes:
         X = gen_blobs(replace(base_spec, n_items=n))
         for m in methods:
-            rows.append(_timed_build(X, replace(cfg, method=m), repeats, warmup, threads))
+            rows.append(_timed_build(X, replace(cfg, method=m), repeats, warmup))
     return rows
 
 
@@ -131,11 +130,10 @@ def compare_methods(
     cfg: TreeBuildConfig,
     repeats: int = 1,
     warmup: bool = False,
-    threads: int = 1,
 ) -> MethodComparison:
     """Run all three methods on one dataset and report seconds, SSE, and ratios."""
     X = gen_blobs(replace(spec, n_items=n_items))
     rows = {}
     for m in METHODS:
-        rows[m] = _timed_build(X, replace(cfg, method=m), repeats, warmup, threads)
+        rows[m] = _timed_build(X, replace(cfg, method=m), repeats, warmup)
     return MethodComparison(n_items=n_items, rows=rows)

@@ -1,14 +1,13 @@
 """Command-line entry point wiring the library into reproducible workflows.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error. Reruns with
-the same arguments, input files, and seed produce byte-identical output files
-for any --threads value (the TREEID_THREADS environment variable supplies the
-default worker count). Only build-tree uses the workers: decode runs one
-batched beam search over all queries and accepts --threads without using it.
+the same arguments, input files, and seed produce byte-identical output files.
+No command starts worker threads of its own. Every command still accepts
+--threads, and TREEID_THREADS may be set in the environment, but neither has
+any effect; both stay accepted so that existing scripts keep working.
 """
 
 import argparse
-import os
 import sys
 
 from . import bench as bench_mod
@@ -29,13 +28,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("TREEID_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _read_embeddings_any(path):
     """Binary when the magic matches or the head looks binary, TSV otherwise."""
     with open(path, "rb") as f:
@@ -49,10 +41,12 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="treeid", description="balanced k-ary identifier trees")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_threads(sp):
-        sp.add_argument("--threads", type=int, default=_default_threads())
+    def add_parser(subs, name, summary):
+        sp = subs.add_parser(name, help=summary)
+        sp.add_argument("--threads", type=int, default=1, help="accepted and ignored")
+        return sp
 
-    g = sub.add_parser("gen-synth", help="generate a synthetic blob embedding file")
+    g = add_parser(sub, "gen-synth", "generate a synthetic blob embedding file")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--dim", type=int, required=True)
     g.add_argument("--blobs", type=int, default=64)
@@ -61,7 +55,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--format", choices=("bin", "tsv"), default="bin")
     g.add_argument("--out", required=True)
 
-    b = sub.add_parser("build-tree", help="build an identifier tree from embeddings")
+    b = add_parser(sub, "build-tree", "build an identifier tree from embeddings")
     b.add_argument("--embeddings", required=True)
     b.add_argument("--method", choices=bench_mod.METHODS, default="hybrid")
     b.add_argument("--k", type=int, default=8)
@@ -70,22 +64,20 @@ def _build_parser() -> _Parser:
     b.add_argument("--lloyd-iters", type=int, default=100)
     b.add_argument("--lloyd-tol", type=float, default=1e-4)
     b.add_argument("--outer-iters", type=int, default=20)
-    add_threads(b)
     b.add_argument("--out", required=True)
 
-    v = sub.add_parser("verify", help="validate a serialized tree")
+    v = add_parser(sub, "verify", "validate a serialized tree")
     v.add_argument("--tree", required=True)
 
-    d = sub.add_parser("decode", help="beam-search retrieval for query vectors")
+    d = add_parser(sub, "decode", "beam-search retrieval for query vectors")
     d.add_argument("--tree", required=True)
     d.add_argument("--embeddings", required=True)
     d.add_argument("--queries", required=True)
     d.add_argument("--beam", type=int, default=50)
     d.add_argument("--top", type=int, default=20)
-    add_threads(d)
     d.add_argument("--out", required=True)
 
-    e = sub.add_parser("eval", help="score a ranking CSV against a truth CSV")
+    e = add_parser(sub, "eval", "score a ranking CSV against a truth CSV")
     e.add_argument("--runs", required=True)
     e.add_argument("--truth", required=True)
     e.add_argument("--cutoffs", default="20,50")
@@ -104,17 +96,16 @@ def _build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--lloyd-iters", type=int, default=100)
         sp.add_argument("--outer-iters", type=int, default=20)
-        add_threads(sp)
         sp.add_argument("--out", required=True)
 
-    bs = bsub.add_parser("scaling", help="build times across sizes")
+    bs = add_parser(bsub, "scaling", "build times across sizes")
     bs.add_argument("--sizes", required=True, help="ascending, e.g. 1000,4000")
     bs.add_argument("--methods", default="constrained,greedy,hybrid")
     bs.add_argument("--repeats", type=int, default=3)
     bs.add_argument("--no-warmup", action="store_true")
     add_bench_common(bs)
 
-    bc = bsub.add_parser("compare", help="all methods on one dataset")
+    bc = add_parser(bsub, "compare", "all methods on one dataset")
     bc.add_argument("--n", type=int, required=True)
     bc.add_argument("--repeats", type=int, default=1)
     bc.add_argument("--warmup", action="store_true")
@@ -160,7 +151,7 @@ def _cmd_gen_synth(args) -> int:
 def _cmd_build_tree(args) -> int:
     cfg = _tree_config(args)
     m = _read_embeddings_any(args.embeddings)
-    tree = build_tree(m, cfg, threads=max(1, args.threads))
+    tree = build_tree(m, cfg)
     tio.write_tree(tree, args.out)
     return 0
 
@@ -226,7 +217,6 @@ def _cmd_bench_scaling(args) -> int:
         cfg,
         repeats=args.repeats,
         warmup=not args.no_warmup,
-        threads=max(1, args.threads),
     )
     tio.write_bench_rows(rows, args.out)
     return 0
@@ -240,7 +230,6 @@ def _cmd_bench_compare(args) -> int:
         cfg,
         repeats=args.repeats,
         warmup=args.warmup,
-        threads=max(1, args.threads),
     )
     tio.write_bench_rows([cmp.rows[m] for m in bench_mod.METHODS], args.out)
     for m in ("greedy", "hybrid"):

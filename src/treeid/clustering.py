@@ -14,8 +14,8 @@ from .mincostflow import CostOverflowError, InfeasibleBoundsError, TransportInst
 
 log = logging.getLogger(__name__)
 
-# Distances are discretized for the integer flow solver with ~5 decimal
-# digits of fidelity.
+# Distances are discretized for the integer flow solver at this scale, about
+# 5 decimal digits of fidelity, unless that would overflow (see _discretize).
 COST_SCALE = 1 << 16
 
 _dist_evals = 0
@@ -40,15 +40,21 @@ def _as_points(X) -> np.ndarray:
     return pts
 
 
-def pairwise_sqdist(pts: np.ndarray, cents: np.ndarray) -> np.ndarray:
-    """Squared euclidean distances, (n, k) float64, clipped at zero."""
+def pairwise_sqdist(pts: np.ndarray, cents: np.ndarray, pt_norms: np.ndarray | None = None) -> np.ndarray:
+    """Squared euclidean distances, (n, k) float64, clipped at zero.
+
+    pt_norms, when given, must be (pts * pts).sum(axis=1); callers that reuse
+    one point set pass it to skip recomputing it.
+    """
     global _dist_evals
     _dist_evals += pts.shape[0] * cents.shape[0]
-    sq = (
-        (pts * pts).sum(axis=1)[:, None]
-        - 2.0 * (pts @ cents.T)
-        + (cents * cents).sum(axis=1)[None, :]
-    )
+    if pt_norms is None:
+        pt_norms = (pts * pts).sum(axis=1)
+    # in place, the same operations as norms - 2 * dot + centroid norms
+    sq = pts @ cents.T
+    sq *= -2.0
+    sq += pt_norms[:, None]
+    sq += (cents * cents).sum(axis=1)
     return np.maximum(sq, 0.0, out=sq)
 
 
@@ -76,13 +82,16 @@ def kmeanspp_init(X, k: int, seed) -> np.ndarray:
     for c in range(1, k):
         last = pts[chosen[c - 1]]
         _dist_evals += n
-        to_last = np.maximum(norms - 2.0 * (pts @ last) + last @ last, 0.0)
-        d2 = np.minimum(d2, to_last)
-        d2[taken] = 0.0
+        to_last = pts @ last
+        to_last *= -2.0
+        to_last += norms
+        to_last += last @ last
+        np.minimum(d2, np.maximum(to_last, 0.0, out=to_last), out=d2)
+        d2[chosen[c - 1]] = 0.0  # earlier picks are already 0 and stay so
         total = float(d2.sum())
         if total > 0.0:
-            cum = np.cumsum(d2)
-            idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
+            cum = d2.cumsum()
+            idx = int(cum.searchsorted(rng.random() * total, side="right"))
             idx = min(idx, n - 1)
         else:
             idx = int(np.argmin(taken))
@@ -107,27 +116,29 @@ def lloyd(X, init: np.ndarray, max_iters: int = 100, tol: float = 1e-4, return_t
     n = pts.shape[0]
     if k > n:
         raise ValueError(f"more centroids ({k}) than points ({n})")
-    scale = max(1.0, float(np.sqrt((pts * pts).sum(axis=1).max())))
+    norms = (pts * pts).sum(axis=1)
+    scale = max(1.0, float(np.sqrt(norms.max())))
     trace = []
 
     for it in range(max_iters):
-        d2 = pairwise_sqdist(pts, cents)
+        d2 = pairwise_sqdist(pts, cents, norms)
         labels = np.argmin(d2, axis=1)
-        own = d2[np.arange(n), labels]
-        trace.append(float(own.sum()))
-
         sizes = np.bincount(labels, minlength=k)
-        if (sizes == 0).any():
-            farthest = own.copy()
+        reseed = not sizes.all()
+        if return_trace or reseed:
+            own = d2[np.arange(n), labels]
+            trace.append(float(own.sum()))
+        if reseed:
             for j in np.nonzero(sizes == 0)[0]:
-                idx = int(np.argmax(farthest))
+                idx = int(np.argmax(own))
                 log.debug("lloyd: reseeding empty cluster %d from point %d", j, idx)
                 cents[j] = pts[idx]
-                farthest[idx] = -1.0
+                own[idx] = -1.0
             continue
 
         # one-hot matmul computes all k means in two vector ops
-        onehot = (labels[:, None] == np.arange(k)[None, :]).astype(np.float64)
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), labels] = 1.0
         new_cents = (onehot.T @ pts) / sizes[:, None]
         move = float(np.sqrt(((new_cents - cents) ** 2).sum(axis=1)).max())
         cents = new_cents
@@ -138,10 +149,19 @@ def lloyd(X, init: np.ndarray, max_iters: int = 100, tol: float = 1e-4, return_t
 
 
 def _discretize(d2: np.ndarray) -> np.ndarray:
-    top = float(d2.max(initial=0.0)) * COST_SCALE
-    if top > float(1 << 62):
-        raise CostOverflowError("squared distances too large to discretize into 64-bit costs")
-    return np.rint(d2 * COST_SCALE).astype(np.int64)
+    """Round d2 * scale to the solver's integer costs.
+
+    scale is COST_SCALE unless N times the largest cost would overflow the
+    solver's 2^62 budget; then it is the largest power of two that fits, so
+    large coordinates lose low-order digits instead of failing.
+    """
+    top = float(d2.max(initial=0.0))
+    if not np.isfinite(top):
+        raise CostOverflowError("squared distances are not finite")
+    scale = float(COST_SCALE)
+    while d2.shape[0] * round(top * scale) > 1 << 62:
+        scale /= 2.0
+    return np.rint(d2 * scale).astype(np.int64)
 
 
 def constrained_assign(X, centroids: np.ndarray, bounds: CapacityBounds) -> ClusterAssignment:
@@ -224,15 +244,20 @@ def update_centroids(X, a: ClusterAssignment, k: int, prev: np.ndarray | None = 
     supply via prev.
     """
     pts = _as_points(X)
+    # a stable sort keeps each cluster's rows in index order, so every sum
+    # equals pts[cluster_of == j].sum(axis=0) bit for bit
+    grouped = pts[np.argsort(a.cluster_of, kind="stable")]
+    ends = np.cumsum(np.bincount(a.cluster_of, minlength=k)[:k]).tolist()
     cents = np.empty((k, pts.shape[1]), dtype=np.float64)
-    for j in range(k):
-        sel = a.cluster_of == j
-        if sel.any():
-            cents[j] = pts[sel].mean(axis=0)
+    start = 0
+    for j, end in enumerate(ends):
+        if end > start:
+            cents[j] = np.add.reduce(grouped[start:end], axis=0) / (end - start)
         elif prev is not None:
             cents[j] = prev[j]
         else:
             raise ValueError(f"cluster {j} is empty and no previous centroids were given")
+        start = end
     return cents
 
 

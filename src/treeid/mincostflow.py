@@ -13,22 +13,36 @@ before the sink absorbs the remainder.
 The search stops once the nearest demand is settled, together with every
 node tied at its distance; nodes farther out affect neither the path nor the
 potential update. A row whose cheapest column can take it directly skips the
-search (a fast-path insert), and the column-to-column relocation table is
-then updated in place from that row's cost deltas.
+search (a fast-path insert).
+
+The search relaxes column-to-column edges through a relocation table: for
+each pair (a, j), the cheapest cost delta of moving one of a's rows to j and
+the lowest row achieving it. An entry depends on a's membership alone, so a
+table is brought up to date only when a search settles its column. Rows that
+joined since are folded in one by one; a column that gave up a row is rebuilt
+from its full membership, in one numpy pass once it is large. Columns left
+stale when the last row is inserted are never rebuilt.
 
 All arithmetic is exact 64-bit integer; callers discretize real distances.
-Work grows superlinearly in N because an augmenting path still rebuilds the
-relocation costs from the full membership of every column it touches, save
-the last, which only gains a row and is updated in place.
+Work grows superlinearly in N because every column on an augmenting path,
+save the last, gives up a row and is later rebuilt from all of its rows.
 """
 
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
 from .core import CapacityBounds
 
 INF = 1 << 62
+# Tables over at most this many (row, column) cells are folded row by row in
+# Python; larger ones are rebuilt with one numpy pass.
+FOLD_CELLS = 64
+# Up to this many (row, column, column) cells, 32 MB, each column's cost
+# deltas are kept as one matrix instead of being recomputed at every rebuild;
+# past it that memory, growing with N*k*k, outweighs the saved subtraction.
+SHIFT_CELLS = 1 << 22
 
 
 class InfeasibleBoundsError(ValueError):
@@ -79,61 +93,80 @@ def solve_balanced_transport(inst: TransportInstance) -> tuple[np.ndarray, int]:
         )
 
     assign = np.full(n, -1, dtype=np.int32)
-    c_own = np.zeros(n, dtype=np.int64)  # cost of each assigned row's column
     load = [0] * k
     flow_t = [0] * k  # per-column units beyond min_size, i.e. flow on column->sink
     t_need = n - k * m  # units the sink still has to absorb
     n_deficit = k if m > 0 else 0  # columns still short of min_size
     spare = big - m
     tnode = k
-    v = [0] * (k + 1)  # node potentials, columns then sink side
-    # trans_val[a][j]: cheapest raw cost delta for moving one of column a's
-    # rows to column j; trans_row names the row achieving it.
+    nodes = list(range(k + 1))  # columns, then the sink
+    v = [0] * (k + 1)  # node potentials
+    # Relocation tables (see the module docstring): trans_val[a][j] is the
+    # cheapest raw cost delta of moving one of column a's rows to column j and
+    # trans_row[a][j] the lowest row achieving it. pending[a] lists the rows
+    # that joined a since its table was last brought up to date; stale[a]
+    # marks a column that has given up a row since.
     trans_val = [[INF] * k for _ in range(k)]
     trans_row = [[-1] * k for _ in range(k)]
-    members: list[list[int]] = [[] for _ in range(k)]
-    col_range = range(k)
-    all_range = range(k + 1)
-    arange_k = np.arange(k)
+    pending: list[list[int]] = [[] for _ in range(k)]
+    stale = [False] * k
+    others = [nodes[:a] + nodes[a + 1 : k] for a in range(k)]
     cost_rows = costs.tolist()
+    shifted = [None] * k  # shifted[a][r, j] = costs[r, j] - costs[r, a], made on first use
 
-    def retrans(a):
-        if not members[a]:
-            trans_val[a] = [INF] * k
-            trans_row[a] = [-1] * k
-            return
-        rows = np.asarray(members[a], dtype=np.int64)
-        rows.sort()  # ascending rows keep argmin ties on the lowest row index
-        diff = costs[rows] - c_own[rows, None]
-        idx = np.argmin(diff, axis=0)
-        tv = diff[idx, arange_k].tolist()
-        tr = rows[idx].tolist()
-        tv[a] = INF
-        trans_val[a] = tv
-        trans_row[a] = tr
+    def refresh(a):
+        rows = pending[a]
+        pending[a] = []
+        if stale[a] or len(rows) * k > FOLD_CELLS:
+            stale[a] = False
+            rows = (assign == a).nonzero()[0]  # ascending: argmin ties take the lower row
+            if rows.size * k > FOLD_CELLS:
+                if n * k * k > SHIFT_CELLS:
+                    block = costs.take(rows, axis=0)
+                    block -= block[:, a, None]
+                else:
+                    if shifted[a] is None:
+                        shifted[a] = costs - costs[:, a, None]
+                    block = shifted[a].take(rows, axis=0)
+                tr = rows.take(block.argmin(axis=0)).tolist()
+                tv = [cost_rows[r][j] - cost_rows[r][a] for j, r in enumerate(tr)]
+                tv[a] = INF
+                trans_val[a], trans_row[a] = tv, tr
+                return
+            rows = rows.tolist()
+            trans_val[a], trans_row[a] = [INF] * k, [-1] * k
+        tv, tr = trans_val[a], trans_row[a]
+        for r in rows:
+            cr = cost_rows[r]
+            ca = cr[a]
+            for j in others[a]:
+                w = cr[j] - ca
+                if w < tv[j] or (w == tv[j] and r < tr[j]):
+                    tv[j] = w
+                    tr[j] = r
 
-    def add_row(a, r):
-        # Fold a row that joined column a into a's entries without a rebuild;
-        # ties keep the lower row index, as retrans would.
-        tv, tr, cr = trans_val[a], trans_row[a], cost_rows[r]
-        ca = cr[a]
-        for j in col_range:
-            w = cr[j] - ca
-            if j != a and (w < tv[j] or (w == tv[j] and r < tr[j])):
-                tv[j] = w
-                tr[j] = r
+    # Each row's cheapest column (the first on ties) and runner-up cost: while
+    # the column potentials spread less than the gap between the two, that
+    # column is also the row's cheapest entry column, found without a scan.
+    second = min(1, k - 1)
+    nearest = costs.argmin(axis=1).tolist()
+    runner_up = np.partition(costs, second, axis=1)[:, second].tolist()
+    v_top = 0  # max(v[:k])
 
     for i in range(n):
         ci = cost_rows[i]
-        dist = [c - x for c, x in zip(ci, v)]
+        u = nearest[i]
+        if ci[u] - v[u] >= runner_up[i] - v_top:
+            dist = list(map(sub, ci, v))
+            u = dist.index(min(dist))  # first minimum: the lowest column on ties
 
         # Fast paths: when the globally cheapest entry column can absorb the
         # unit as a terminal step, the shortest augmenting path is that single
         # edge and every potential update is zero, so the full search below
         # would do exactly this.
-        u = dist.index(min(dist))  # first minimum: the lowest column on ties
-        if load[u] - flow_t[u] < m:
-            if load[u] - flow_t[u] == m - 1:
+        below = load[u] - flow_t[u]
+        if below < m:
+            if below == m - 1:
                 n_deficit -= 1
         elif n_deficit == 0 and t_need > 0 and flow_t[u] < spare and v[u] == v[tnode]:
             flow_t[u] += 1
@@ -142,120 +175,103 @@ def solve_balanced_transport(inst: TransportInstance) -> tuple[np.ndarray, int]:
             u = -1
         if u >= 0:
             assign[i] = u
-            c_own[i] = ci[u]
             load[u] += 1
-            members[u].append(i)
-            add_row(u, i)
+            pending[u].append(i)
             continue
 
+        dist = list(map(sub, ci, v))
         dist.append(INF)
-        pred_node = [-1] * (k + 1)  # -1 marks direct entry of row i
-        pred_node[tnode] = -2
-        done = [False] * (k + 1)
-        reached = INF  # distance of the first settled node that is a demand
+        pred_node = [-1] * k + [-2]  # -1 marks direct entry of row i
+        unsettled = nodes[:]  # ascending, so min() takes the lowest index on ties
+        settled = []
+        # The nearest demand, ties to the lower column and the sink last, and
+        # its distance dstar. Once one is settled, the search only settles the
+        # nodes tied with it, so every demand settled is at dstar.
+        target, dstar = -1, INF
+        key = dist.__getitem__
 
-        for _ in all_range:
-            u, best = -1, INF
-            for x in all_range:
-                if not done[x] and dist[x] < best:
-                    u, best = x, dist[x]
+        while unsettled:
+            u = min(unsettled, key=key)
+            best = dist[u]
             # Every node at most as far as the nearest demand is settled, so
             # the target, its path and all potentials below dstar are final.
-            if u < 0 or best > reached:
+            if best >= INF or best > dstar:
                 break
-            done[u] = True
-            if reached == INF and (load[u] - flow_t[u] < m if u < k else t_need > 0):
-                reached = best
+            unsettled.remove(u)
+            settled.append(u)
             if u == tnode:
+                if target < 0 and t_need > 0:
+                    target, dstar = tnode, best
                 vt = v[tnode]
-                for b in col_range:
-                    if not done[b] and flow_t[b] > 0:
+                for b in unsettled:
+                    if flow_t[b] > 0:
                         nd = best + vt - v[b]
                         if nd < dist[b]:
                             dist[b] = nd
                             pred_node[b] = tnode
-            else:
+                continue
+            if load[u] - flow_t[u] < m and not 0 <= target < u:
+                target, dstar = u, best
+            base = best + v[u]
+            if load[u]:  # an empty column has no rows to relocate
+                if pending[u] or stale[u]:
+                    refresh(u)
                 tu = trans_val[u]
-                base = best + v[u]
-                for j in col_range:
-                    w = tu[j]
-                    if w < INF and not done[j]:
-                        nd = base + w - v[j]
+                for j in unsettled:
+                    if j < k:
+                        nd = base + tu[j] - v[j]
                         if nd < dist[j]:
                             dist[j] = nd
                             pred_node[j] = u
-                if not done[tnode] and flow_t[u] < spare:
-                    nd = base - v[tnode]
-                    if nd < dist[tnode]:
-                        dist[tnode] = nd
-                        pred_node[tnode] = u
+            if flow_t[u] < spare and unsettled and unsettled[-1] == tnode:
+                nd = base - v[tnode]
+                if nd < dist[tnode]:
+                    dist[tnode] = nd
+                    pred_node[tnode] = u
 
-        # Nearest remaining demand wins; ties prefer lower column index, the
-        # sink last.
-        target, dstar = -1, INF
-        for j in col_range:
-            if load[j] - flow_t[j] < m and dist[j] < dstar:
-                target, dstar = j, dist[j]
-        if t_need > 0 and dist[tnode] < dstar:
-            target, dstar = tnode, dist[tnode]
         if target < 0:
             raise RuntimeError("no augmenting path on a feasible instance")
 
         if target == tnode:
             t_need -= 1
 
-        # Walk the path back to the source, collecting row moves and applying
-        # sink-edge adjustments.
-        moves = []
+        # Walk the path back to the source, moving rows and adjusting sink
+        # edges. A column that gives up a row turns stale; its replacement row
+        # waits in pending like the new row i at the path's last column.
         x = target
         while True:
             p = pred_node[x]
-            if p == -1:
-                moves.append((i, x))
-                break
+            if p == tnode:
+                flow_t[x] -= 1
+                x = tnode
+                continue
             if x == tnode:
                 flow_t[p] += 1
                 x = p
-            elif p == tnode:
-                flow_t[x] -= 1
-                x = tnode
-            else:
-                moves.append((int(trans_row[p][x]), x))
-                x = p
-
-        lost = set()
-        for r, dest in moves:
-            src = int(assign[r])
-            if src >= 0:
-                load[src] -= 1
-                members[src].remove(r)
-                lost.add(src)
-            assign[r] = dest
-            c_own[r] = cost_rows[r][dest]
-            load[dest] += 1
-            members[dest].append(r)
+                continue
+            r = i if p == -1 else trans_row[p][x]
+            if p >= 0:
+                load[p] -= 1
+                stale[p] = True
+            assign[r] = x
+            load[x] += 1
+            pending[x].append(r)
+            if p == -1:
+                break
+            x = p
 
         # Intermediate path nodes keep their demand balance; only the target
         # gains one mandatory unit.
         if target != tnode and load[target] - flow_t[target] == m:
             n_deficit -= 1
 
-        for x in all_range:
-            dx = dist[x]
-            if dx < dstar:
-                v[x] += dx - dstar
+        for x in settled:  # every node closer than dstar is settled
+            if dist[x] < dstar:
+                v[x] += dist[x] - dstar
+        v_top = max(v[:k])
 
-        # A column that gave up a row may have lost the argmin of any entry,
-        # so it is rebuilt from its full membership; the path's last column
-        # only gained one.
-        for a in sorted(lost):
-            retrans(a)
-        for r, dest in moves:
-            if dest not in lost:
-                add_row(dest, r)
-
-    loads = np.bincount(assign, minlength=k)
-    if loads.min() < m or loads.max() > big or int(loads.sum()) != n:
+    loads = np.bincount(assign, minlength=k).tolist()
+    if min(loads) < m or max(loads) > big or sum(loads) != n:
         raise RuntimeError("solver produced loads outside the requested bounds")
     total = int(costs[np.arange(n), assign].sum())
     return assign, total

@@ -6,11 +6,12 @@ sequential branch ordinals 0..n-1 in ascending item order. Shorter identifiers
 are padded with the pad token (value k) to the uniform tree depth.
 
 Every split derives its own RNG stream from (seed, node id), with node ids
-assigned in breadth-first order, so sibling subtrees can be clustered
-concurrently and still reproduce the serial result bit for bit.
+assigned in breadth-first order, so a split's result depends only on its
+items, the config and its place in the tree. Splits run one at a time: the
+exact backend is pure Python, so threads would only queue on the interpreter
+lock.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,8 @@ def _node_rng(seed: int, node_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(node_id,)))
 
 
-def build_tree_with_stats(X, cfg: TreeBuildConfig, threads: int = 1) -> tuple[IdentifierTree, BuildStats]:
-    """Build the identifier tree and report the summed assignment cost.
-
-    threads > 1 clusters the split groups of a level concurrently; the output
-    is identical for any worker count.
-    """
+def build_tree_with_stats(X, cfg: TreeBuildConfig) -> tuple[IdentifierTree, BuildStats]:
+    """Build the identifier tree and report the summed assignment cost."""
     if isinstance(X, EmbeddingMatrix):
         m = X
     else:
@@ -51,7 +48,7 @@ def build_tree_with_stats(X, cfg: TreeBuildConfig, threads: int = 1) -> tuple[Id
     pts = m.as_array().astype(np.float64)
     k = cfg.k
 
-    paths: list[tuple[int, ...] | None] = [None] * m.n_items
+    leaves = []  # (member item indices ascending, token prefix) of each leaf group
     total_sse = 0.0
     n_splits = 0
     next_id = 1
@@ -59,50 +56,35 @@ def build_tree_with_stats(X, cfg: TreeBuildConfig, threads: int = 1) -> tuple[Id
     level = [(0, np.arange(m.n_items, dtype=np.int64), ())]
 
     while level:
-        splits = [(nid, items) for nid, items, _ in level if items.size > k]
-        if threads > 1 and len(splits) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(
-                    pool.map(
-                        lambda t: cluster_level(pts[t[1]], cfg, rng=_node_rng(cfg.seed, t[0])),
-                        splits,
-                    )
-                )
-            assignments = dict(zip((nid for nid, _ in splits), results))
-        else:
-            assignments = {
-                nid: cluster_level(pts[items], cfg, rng=_node_rng(cfg.seed, nid))
-                for nid, items in splits
-            }
-
         next_level = []
         for nid, items, prefix in level:
             n = items.size
             if n > k:
-                a = assignments[nid]
+                a = cluster_level(pts[items], cfg, rng=_node_rng(cfg.seed, nid))
                 total_sse += a.cost
                 n_splits += 1
-                for j in range(k):
-                    child_items = items[a.cluster_of == j]
+                # a stable sort keeps every child's items ascending
+                grouped = items[np.argsort(a.cluster_of, kind="stable")]
+                for j, child_items in enumerate(np.split(grouped, np.cumsum(a.sizes)[:-1])):
                     next_level.append((next_id, child_items, prefix + (j,)))
                     next_id += 1
             else:
-                for rank in range(n):
-                    paths[int(items[rank])] = prefix + (rank,)
-                    next_id += 1
+                leaves.append((items, prefix))
+                next_id += n
         level = next_level
 
-    depth = max(len(p) for p in paths)
+    depth = max(len(prefix) for _, prefix in leaves) + 1
     matrix = np.full((m.n_items, depth), k, dtype=np.int32)
-    for item, p in enumerate(paths):
-        matrix[item, : len(p)] = p
+    for items, prefix in leaves:
+        matrix[items, : len(prefix)] = prefix
+        matrix[items, len(prefix)] = np.arange(items.size)
     tree = IdentifierTree.from_paths(k, matrix)
     return tree, BuildStats(total_sse=total_sse, n_splits=n_splits)
 
 
-def build_tree(X, cfg: TreeBuildConfig, threads: int = 1) -> IdentifierTree:
+def build_tree(X, cfg: TreeBuildConfig) -> IdentifierTree:
     """Build a balanced k-ary identifier tree over the embedding rows."""
-    tree, _ = build_tree_with_stats(X, cfg, threads=threads)
+    tree, _ = build_tree_with_stats(X, cfg)
     return tree
 
 
@@ -142,21 +124,23 @@ def node_embeddings(t: IdentifierTree, X) -> np.ndarray:
         raise ValueError(
             f"embedding matrix shape {pts.shape} does not cover the tree's {t.n_items} items"
         )
-    pts = pts.astype(np.float64)
     n_nodes, dim = t.n_nodes, pts.shape[1]
     sums = np.zeros((n_nodes, dim), dtype=np.float64)
     counts = np.zeros(n_nodes, dtype=np.int64)
-    sums[t.leaf_of_item] = pts
+    sums[t.leaf_of_item] = pts  # exact widening to float64
     counts[t.leaf_of_item] = 1
 
     # Deepest level first; bincount adds each parent's children in id order
-    # from zero, the order of a sequential per-child accumulation.
-    for d in range(int(t.node_depth.max()), 0, -1):
-        ids = np.flatnonzero(t.node_depth == d)
-        step = np.diff(t.parent[ids], prepend=-1) != 0  # parents never decrease
-        par, slot = t.parent[ids][step], np.cumsum(step) - 1
-        flat = (slot[:, None] * dim + np.arange(dim)).ravel()
-        seg = np.bincount(flat, weights=sums[ids].ravel(), minlength=par.size * dim)
-        sums[par] = seg.reshape(-1, dim)
-        counts[par] = np.bincount(slot, weights=counts[ids], minlength=par.size)
-    return sums / counts[:, None]
+    # from zero, the order of a sequential per-child accumulation. Node ids
+    # are breadth-first, so each depth is one contiguous id range.
+    first = np.searchsorted(t.node_depth, np.arange(int(t.node_depth.max()) + 2))
+    for d in range(len(first) - 2, 0, -1):
+        lo, hi = first[d], first[d + 1]
+        parent = t.parent[lo:hi]
+        step = np.diff(parent, prepend=-1) != 0  # parents never decrease
+        par, slot = parent[step], np.cumsum(step) - 1
+        for c in range(dim):  # one column at a time keeps the temporaries small
+            sums[par, c] = np.bincount(slot, weights=sums[lo:hi, c], minlength=par.size)
+        counts[par] = np.bincount(slot, weights=counts[lo:hi], minlength=par.size)
+    sums /= counts[:, None]
+    return sums

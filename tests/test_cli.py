@@ -3,6 +3,7 @@ import pytest
 
 from treeid import io as tio
 from treeid.cli import run
+from treeid.core import EmbeddingMatrix
 
 
 def invoke(capsys, *argv):
@@ -126,6 +127,20 @@ def test_threads_do_not_change_artifacts(workspace, capsys):
     assert outs[0] == outs[1]
 
 
+def test_every_command_accepts_and_ignores_threads(workspace, capsys):
+    tmp, emb = workspace
+    again = tmp / "again.semb"
+    code, _, err = invoke(
+        capsys, "gen-synth", "--n", "200", "--dim", "8", "--blobs", "8",
+        "--spread", "0.4", "--seed", "3", "--threads", "4", "--out", str(again),
+    )
+    assert code == 0, err
+    assert again.read_bytes() == emb.read_bytes()
+    tree = tmp / "tree.json"
+    assert invoke(capsys, "build-tree", "--embeddings", str(emb), "--threads", "2", "--out", str(tree))[0] == 0
+    assert invoke(capsys, "verify", "--tree", str(tree), "--threads", "3")[0] == 0
+
+
 def test_threads_env_default(workspace, capsys, monkeypatch):
     tmp, emb = workspace
     monkeypatch.setenv("TREEID_THREADS", "2")
@@ -181,3 +196,18 @@ def test_tsv_output_and_input(workspace, capsys):
     )
     assert code == 0, err
     assert invoke(capsys, "verify", "--tree", str(tree))[0] == 0
+
+
+@pytest.mark.parametrize("scale", [1e0, 1e5, 1e6, 1e8])
+def test_build_tree_at_large_coordinate_scales(tmp_path, capsys, scale):
+    emb = tmp_path / "big.semb"
+    X = np.random.default_rng(0).normal(size=(300, 8)) * scale
+    tio.write_embeddings(EmbeddingMatrix.from_array(X.astype(np.float32)), str(emb))
+    for method in ("greedy", "constrained", "hybrid"):
+        tree = tmp_path / f"{method}.json"
+        code, _, err = invoke(
+            capsys, "build-tree", "--embeddings", str(emb), "--method", method,
+            "--k", "4", "--threshold", "64", "--out", str(tree),
+        )
+        assert code == 0, err
+        assert invoke(capsys, "verify", "--tree", str(tree))[0] == 0

