@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error. Reruns with
 the same arguments, input files, and seed produce byte-identical output files.
-No command starts worker threads of its own. Every command still accepts
---threads, and TREEID_THREADS may be set in the environment, but neither has
-any effect; both stay accepted so that existing scripts keep working.
+No command starts worker threads of its own. build-tree, decode and bench
+accept and ignore --threads, and TREEID_THREADS has no effect either; both
+stay accepted so that existing scripts keep working.
 """
 
 import argparse
@@ -41,12 +41,10 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="treeid", description="balanced k-ary identifier trees")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_parser(subs, name, summary):
-        sp = subs.add_parser(name, help=summary)
+    def add_threads(sp):
         sp.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-        return sp
 
-    g = add_parser(sub, "gen-synth", "generate a synthetic blob embedding file")
+    g = sub.add_parser("gen-synth", help="generate a synthetic blob embedding file")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--dim", type=int, required=True)
     g.add_argument("--blobs", type=int, default=64)
@@ -55,7 +53,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--format", choices=("bin", "tsv"), default="bin")
     g.add_argument("--out", required=True)
 
-    b = add_parser(sub, "build-tree", "build an identifier tree from embeddings")
+    b = sub.add_parser("build-tree", help="build an identifier tree from embeddings")
     b.add_argument("--embeddings", required=True)
     b.add_argument("--method", choices=bench_mod.METHODS, default="hybrid")
     b.add_argument("--k", type=int, default=8)
@@ -64,20 +62,22 @@ def _build_parser() -> _Parser:
     b.add_argument("--lloyd-iters", type=int, default=100)
     b.add_argument("--lloyd-tol", type=float, default=1e-4)
     b.add_argument("--outer-iters", type=int, default=20)
+    add_threads(b)
     b.add_argument("--out", required=True)
 
-    v = add_parser(sub, "verify", "validate a serialized tree")
+    v = sub.add_parser("verify", help="validate a serialized tree")
     v.add_argument("--tree", required=True)
 
-    d = add_parser(sub, "decode", "beam-search retrieval for query vectors")
+    d = sub.add_parser("decode", help="beam-search retrieval for query vectors")
     d.add_argument("--tree", required=True)
     d.add_argument("--embeddings", required=True)
     d.add_argument("--queries", required=True)
     d.add_argument("--beam", type=int, default=50)
     d.add_argument("--top", type=int, default=20)
+    add_threads(d)
     d.add_argument("--out", required=True)
 
-    e = add_parser(sub, "eval", "score a ranking CSV against a truth CSV")
+    e = sub.add_parser("eval", help="score a ranking CSV against a truth CSV")
     e.add_argument("--runs", required=True)
     e.add_argument("--truth", required=True)
     e.add_argument("--cutoffs", default="20,50")
@@ -96,16 +96,17 @@ def _build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--lloyd-iters", type=int, default=100)
         sp.add_argument("--outer-iters", type=int, default=20)
+        add_threads(sp)
         sp.add_argument("--out", required=True)
 
-    bs = add_parser(bsub, "scaling", "build times across sizes")
+    bs = bsub.add_parser("scaling", help="build times across sizes")
     bs.add_argument("--sizes", required=True, help="ascending, e.g. 1000,4000")
     bs.add_argument("--methods", default="constrained,greedy,hybrid")
     bs.add_argument("--repeats", type=int, default=3)
     bs.add_argument("--no-warmup", action="store_true")
     add_bench_common(bs)
 
-    bc = add_parser(bsub, "compare", "all methods on one dataset")
+    bc = bsub.add_parser("compare", help="all methods on one dataset")
     bc.add_argument("--n", type=int, required=True)
     bc.add_argument("--repeats", type=int, default=1)
     bc.add_argument("--warmup", action="store_true")

@@ -6,6 +6,7 @@ an EmbeddingMatrix or any (n, d) array and promoted to float64 for the math.
 """
 
 import logging
+import math
 
 import numpy as np
 
@@ -158,7 +159,8 @@ def _discretize(d2: np.ndarray) -> np.ndarray:
     top = float(d2.max(initial=0.0))
     if not np.isfinite(top):
         raise CostOverflowError("squared distances are not finite")
-    scale = float(COST_SCALE)
+    # top < 2^e: top * 2^(63-e) stays finite, and no larger scale fits in 2^62
+    scale = math.ldexp(1.0, min(COST_SCALE.bit_length() - 1, 63 - math.frexp(top)[1]))
     while d2.shape[0] * round(top * scale) > 1 << 62:
         scale /= 2.0
     return np.rint(d2 * scale).astype(np.int64)

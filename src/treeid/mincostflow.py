@@ -39,10 +39,6 @@ INF = 1 << 62
 # Tables over at most this many (row, column) cells are folded row by row in
 # Python; larger ones are rebuilt with one numpy pass.
 FOLD_CELLS = 64
-# Up to this many (row, column, column) cells, 32 MB, each column's cost
-# deltas are kept as one matrix instead of being recomputed at every rebuild;
-# past it that memory, growing with N*k*k, outweighs the saved subtraction.
-SHIFT_CELLS = 1 << 22
 
 
 class InfeasibleBoundsError(ValueError):
@@ -112,7 +108,6 @@ def solve_balanced_transport(inst: TransportInstance) -> tuple[np.ndarray, int]:
     stale = [False] * k
     others = [nodes[:a] + nodes[a + 1 : k] for a in range(k)]
     cost_rows = costs.tolist()
-    shifted = [None] * k  # shifted[a][r, j] = costs[r, j] - costs[r, a], made on first use
 
     def refresh(a):
         rows = pending[a]
@@ -121,13 +116,8 @@ def solve_balanced_transport(inst: TransportInstance) -> tuple[np.ndarray, int]:
             stale[a] = False
             rows = (assign == a).nonzero()[0]  # ascending: argmin ties take the lower row
             if rows.size * k > FOLD_CELLS:
-                if n * k * k > SHIFT_CELLS:
-                    block = costs.take(rows, axis=0)
-                    block -= block[:, a, None]
-                else:
-                    if shifted[a] is None:
-                        shifted[a] = costs - costs[:, a, None]
-                    block = shifted[a].take(rows, axis=0)
+                block = costs.take(rows, axis=0)
+                block -= block[:, a, None]
                 tr = rows.take(block.argmin(axis=0)).tolist()
                 tv = [cost_rows[r][j] - cost_rows[r][a] for j, r in enumerate(tr)]
                 tv[a] = INF

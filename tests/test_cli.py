@@ -127,20 +127,6 @@ def test_threads_do_not_change_artifacts(workspace, capsys):
     assert outs[0] == outs[1]
 
 
-def test_every_command_accepts_and_ignores_threads(workspace, capsys):
-    tmp, emb = workspace
-    again = tmp / "again.semb"
-    code, _, err = invoke(
-        capsys, "gen-synth", "--n", "200", "--dim", "8", "--blobs", "8",
-        "--spread", "0.4", "--seed", "3", "--threads", "4", "--out", str(again),
-    )
-    assert code == 0, err
-    assert again.read_bytes() == emb.read_bytes()
-    tree = tmp / "tree.json"
-    assert invoke(capsys, "build-tree", "--embeddings", str(emb), "--threads", "2", "--out", str(tree))[0] == 0
-    assert invoke(capsys, "verify", "--tree", str(tree), "--threads", "3")[0] == 0
-
-
 def test_threads_env_default(workspace, capsys, monkeypatch):
     tmp, emb = workspace
     monkeypatch.setenv("TREEID_THREADS", "2")
@@ -161,7 +147,7 @@ def test_bench_scaling_csv(workspace, capsys):
     out = tmp / "bench.csv"
     code, _, err = invoke(
         capsys, "bench", "scaling", "--sizes", "150,300", "--methods", "greedy",
-        "--dim", "8", "--repeats", "1", "--no-warmup", "--out", str(out),
+        "--dim", "8", "--repeats", "1", "--no-warmup", "--threads", "2", "--out", str(out),
     )
     assert code == 0, err
     lines = out.read_text().splitlines()

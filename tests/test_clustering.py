@@ -192,7 +192,7 @@ class TestDiscretize:
         d2 = np.random.default_rng(12).random((50, 4)) * 1e6
         assert np.array_equal(clustering._discretize(d2), np.rint(d2 * clustering.COST_SCALE))
 
-    @pytest.mark.parametrize("top", [1e15, 1e17, 1e25, 1e100])
+    @pytest.mark.parametrize("top", [1e15, 1e17, 1e25, 1e100, 1e305, 1.7e308])
     def test_largest_power_of_two_that_fits(self, top):
         n = 300
         d2 = np.random.default_rng(13).random((n, 4)) * top
@@ -203,7 +203,7 @@ class TestDiscretize:
         scale = 2.0 ** np.round(np.log2(ratio))
         assert scale < clustering.COST_SCALE
         assert np.array_equal(costs, np.rint(d2 * scale))
-        assert n * int(np.rint(top * 2 * scale)) > 1 << 62
+        assert n * int(np.rint(top * (2 * scale))) > 1 << 62
 
     def test_non_finite_distances_raise(self):
         with pytest.raises(CostOverflowError):
