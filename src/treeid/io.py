@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EmbeddingMatrix, IdentifierTree, validate_embeddings, validate_paths
+from .core import EmbeddingMatrix, IdentifierTree, _checked_trie, validate_embeddings
 from .metrics import EvalReport
 
 MAGIC = b"SEMB"
@@ -159,7 +159,7 @@ def write_tree(t: IdentifierTree, sink):
 
 
 def read_tree(source) -> IdentifierTree:
-    """Parse tree JSON, rebuild the node arena from the paths, and revalidate.
+    """Parse tree JSON, validate the paths, and build the node arena from the same trie.
 
     Header fields and tokens must be JSON integers; nothing is coerced.
     """
@@ -193,10 +193,10 @@ def read_tree(source) -> IdentifierTree:
     literal = "true" in text or "false" in text
     if literal and any(type(x) is bool for row in doc["paths"] for x in row):
         raise TreeFormatError("paths must hold JSON integers, got a boolean")
-    res = validate_paths(k, depth, paths)
-    if not res.ok:
-        raise TreeFormatError("; ".join(res.violations))
-    return IdentifierTree.from_paths(k, paths)
+    violations, trie = _checked_trie(k, depth, paths)
+    if violations:
+        raise TreeFormatError("; ".join(violations))
+    return IdentifierTree._from_trie(k, paths, trie)
 
 
 def _fmt(x) -> str:

@@ -3,7 +3,8 @@ import pytest
 
 from treeid import io as tio
 from treeid.cli import run
-from treeid.core import EmbeddingMatrix
+from treeid.core import EmbeddingMatrix, TreeBuildConfig
+from treeid.treebuild import build_tree
 
 
 def invoke(capsys, *argv):
@@ -139,6 +140,15 @@ def test_threads_env_default(workspace, capsys, monkeypatch):
     monkeypatch.setenv("TREEID_THREADS", "1")
     assert invoke(capsys, "build-tree", "--embeddings", str(emb), "--k", "4", "--seed", "9",
                   "--out", str(ref))[0] == 0
+    assert tree.read_bytes() == ref.read_bytes()
+
+
+def test_build_tree_defaults_are_the_config_defaults(workspace, capsys):
+    tmp, emb = workspace
+    tree, ref = tmp / "tree.json", tmp / "ref.json"
+    code, _, err = invoke(capsys, "build-tree", "--embeddings", str(emb), "--out", str(tree))
+    assert code == 0, err
+    tio.write_tree(build_tree(tio.read_embeddings(emb), TreeBuildConfig(k=8)), ref)
     assert tree.read_bytes() == ref.read_bytes()
 
 

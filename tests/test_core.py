@@ -1,8 +1,11 @@
 import dataclasses
+import io as stdio
+import json
 
 import numpy as np
 import pytest
 
+from treeid import io as tio
 from treeid.core import (
     CapacityBounds,
     EmbeddingMatrix,
@@ -227,16 +230,58 @@ def test_arena_matches_naive_walk_on_random_matrices():
         assert_matches_naive_walk(k, rng.integers(0, k + 1, size=(n, depth)))
 
 
-def test_node_rank_orders_leaves_by_path():
-    rng = np.random.default_rng(34)
-    for _ in range(10):
-        t = rand_tree(rng, int(rng.integers(2, 200)), int(rng.integers(2, 6)))
-        by_path = sorted(range(t.n_items), key=lambda i: t.paths[i].tolist())
-        assert np.argsort(t.node_rank[t.leaf_of_item]).tolist() == by_path
-
-
 def test_children_table_is_at_most_n_items_wide():
     t = IdentifierTree.from_paths(1_000_000, np.array([[0], [1], [2]]))
     assert t.children.shape == (4, 3)
     with pytest.raises(TreeStructureError):
         IdentifierTree.from_paths(8, np.array([[0], [5]]))
+
+
+def assert_read_tree_agrees(k, paths):
+    """read_tree raises validate_paths' violations, else reads from_paths' arena."""
+    n, depth = paths.shape
+    doc = {"format": "treeid-v1", "k": k, "depth": depth, "n_items": n, "pad_token": k,
+           "paths": paths.tolist()}
+    source = stdio.StringIO(json.dumps(doc))
+    res = validate_paths(k, depth, paths)
+    if not res.ok:
+        with pytest.raises(tio.TreeFormatError) as err:
+            tio.read_tree(source)
+        assert str(err.value) == "; ".join(res.violations)
+        return
+    got, want = tio.read_tree(source), IdentifierTree.from_paths(k, paths)
+    for f in dataclasses.fields(IdentifierTree):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+def test_read_tree_agrees_on_built_trees():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(1, 300))
+        k = int(rng.integers(2, 9))
+        t = rand_tree(rng, n, k, method=str(rng.choice(["greedy", "hybrid"])))
+        assert_read_tree_agrees(k, t.paths)
+
+
+def test_read_tree_agrees_on_corrupted_paths():
+    rng = np.random.default_rng(32)
+    for _ in range(400):
+        n = int(rng.integers(2, 120))
+        k = int(rng.integers(2, 7))
+        p = rand_tree(rng, n, k).paths
+        for _ in range(int(rng.integers(1, 4))):
+            p = corrupt(rng, p, k)
+        assert_read_tree_agrees(k, p)
+
+
+def test_read_tree_agrees_on_random_matrices():
+    rng = np.random.default_rng(33)
+    for _ in range(300):
+        k = int(rng.integers(2, 6))
+        n = int(rng.integers(1, 12))
+        depth = int(rng.integers(1, 4))
+        assert_read_tree_agrees(k, rng.integers(0, k + 1, size=(n, depth)))

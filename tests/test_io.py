@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeid import core
 from treeid import io as tio
 from treeid.bench import BenchRow
 from treeid.cli import run as cli_run
@@ -192,6 +193,24 @@ class TestTreeJsonTypes:
         path = tmp_path / "tree.json"
         path.write_text(tree_doc(paths=[[0], [2**32 + 1]]))
         assert cli_run(["verify", "--tree", str(path)]) == 2
+
+
+def test_read_and_verify_build_one_trie_each(tmp_path, monkeypatch):
+    X = np.random.default_rng(5).normal(size=(40, 3)).astype(np.float32)
+    path = tmp_path / "tree.json"
+    tio.write_tree(build_tree(X, TreeBuildConfig(k=3, seed=1)), path)
+    builds = []
+    build = core._Trie.build.__func__
+
+    def counting_build(cls, k, paths):
+        builds.append(k)
+        return build(cls, k, paths)
+
+    monkeypatch.setattr(core._Trie, "build", classmethod(counting_build))
+    tio.read_tree(path)
+    assert len(builds) == 1
+    assert cli_run(["verify", "--tree", str(path)]) == 0
+    assert len(builds) == 2
 
 
 JSON_VALUES = st.recursive(
