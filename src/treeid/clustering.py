@@ -3,6 +3,11 @@
 All operations are pure functions of (points, config, seed) and single
 threaded, so results never depend on a worker count. Points are accepted as
 an EmbeddingMatrix or any (n, d) array and promoted to float64 for the math.
+
+kmeanspp_init, lloyd, greedy_assign and cluster_level also take a (G, n, d)
+stack of G equal-size groups and treat every group exactly as a separate
+(n, d) call would, bit for bit: a 2-D call is the G = 1 case. Only the
+scalar random draws, Lloyd's reseeds and the exact solves loop over groups.
 """
 
 import logging
@@ -18,6 +23,9 @@ log = logging.getLogger(__name__)
 # Distances are discretized for the integer flow solver at this scale, about
 # 5 decimal digits of fidelity, unless that would overflow (see _discretize).
 COST_SCALE = 1 << 16
+
+# rows of the greedy capacity pass converted to Python lists at a time
+_FILL_BLOCK = 4096
 
 _dist_evals = 0
 
@@ -41,64 +49,89 @@ def _as_points(X) -> np.ndarray:
     return pts
 
 
-def pairwise_sqdist(pts: np.ndarray, cents: np.ndarray, pt_norms: np.ndarray | None = None) -> np.ndarray:
-    """Squared euclidean distances, (n, k) float64, clipped at zero.
+def _as_stack(X) -> tuple[np.ndarray, bool]:
+    """(G, n, d) float64 points, and whether X was a single (n, d) group."""
+    if isinstance(X, EmbeddingMatrix) or np.ndim(X) != 3:
+        return _as_points(X)[None], True
+    return np.asarray(X, dtype=np.float64), False
 
-    pt_norms, when given, must be (pts * pts).sum(axis=1); callers that reuse
-    one point set pass it to skip recomputing it.
+
+def _rngs(seed, single: bool, groups: int) -> list:
+    """One generator per group: seed for a single group, a sequence of G seeds for a stack."""
+    rngs = [np.random.default_rng(s) for s in ([seed] if single else seed)]
+    if len(rngs) != groups:
+        raise ValueError(f"a stack of {groups} groups needs {groups} seeds, got {len(rngs)}")
+    return rngs
+
+
+def _unstack(a: ClusterAssignment) -> ClusterAssignment:
+    return ClusterAssignment(cluster_of=a.cluster_of[0], sizes=a.sizes[0], cost=float(a.cost[0]))
+
+
+def pairwise_sqdist(pts: np.ndarray, cents: np.ndarray, pt_norms: np.ndarray | None = None) -> np.ndarray:
+    """Squared euclidean distances, (..., n, k) float64, clipped at zero.
+
+    pts is (..., n, d) and cents (..., k, d). pt_norms, when given, must be
+    (pts * pts).sum(axis=-1); callers that reuse one point set pass it to
+    skip recomputing it.
     """
     global _dist_evals
-    _dist_evals += pts.shape[0] * cents.shape[0]
+    _dist_evals += math.prod(pts.shape[:-1]) * cents.shape[-2]
     if pt_norms is None:
-        pt_norms = (pts * pts).sum(axis=1)
+        pt_norms = (pts * pts).sum(axis=-1)
     # in place, the same operations as norms - 2 * dot + centroid norms
-    sq = pts @ cents.T
+    sq = pts @ cents.swapaxes(-1, -2)
     sq *= -2.0
-    sq += pt_norms[:, None]
-    sq += (cents * cents).sum(axis=1)
+    sq += pt_norms[..., None]
+    sq += (cents * cents).sum(axis=-1)[..., None, :]
     return np.maximum(sq, 0.0, out=sq)
 
 
 def kmeanspp_init(X, k: int, seed) -> np.ndarray:
     """Pick k distinct starting centroids by squared-distance-weighted sampling.
 
-    seed may be an int or a numpy Generator. The same seed always yields the
-    same centroids. Points already chosen carry zero weight; when every
-    remaining point coincides with a chosen one, the lowest unchosen index is
-    taken so the result stays a set of k distinct items.
+    seed may be an int or a numpy Generator; for a (G, n, d) stack it is a
+    sequence of G of them, one stream per group, and the result is (G, k, d).
+    The same seed always yields the same centroids. Points already chosen
+    carry zero weight; when every remaining point coincides with a chosen
+    one, the lowest unchosen index is taken so the result stays a set of k
+    distinct items.
     """
-    pts = _as_points(X)
-    n = pts.shape[0]
+    pts, single = _as_stack(X)
+    groups, n, _ = pts.shape
     if k > n:
         raise ValueError(f"cannot draw k={k} centroids from {n} points")
-    rng = np.random.default_rng(seed)
+    rngs = _rngs(seed, single, groups)
 
     global _dist_evals
-    norms = (pts * pts).sum(axis=1)
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = rng.integers(n)
-    taken = np.zeros(n, dtype=bool)
-    taken[chosen[0]] = True
-    d2 = np.full(n, np.inf)
+    rows = np.arange(groups)
+    norms = (pts * pts).sum(axis=2)
+    chosen = np.empty((groups, k), dtype=np.int64)
+    chosen[:, 0] = [rng.integers(n) for rng in rngs]
+    taken = np.zeros((groups, n), dtype=bool)
+    taken[rows, chosen[:, 0]] = True
+    d2 = np.full((groups, n), np.inf)
     for c in range(1, k):
-        last = pts[chosen[c - 1]]
-        _dist_evals += n
-        to_last = pts @ last
+        last = pts[rows, chosen[:, c - 1]]
+        _dist_evals += groups * n
+        to_last = (pts @ last[:, :, None])[:, :, 0]
         to_last *= -2.0
         to_last += norms
-        to_last += last @ last
+        to_last += (last[:, None, :] @ last[:, :, None])[:, :, 0]
         np.minimum(d2, np.maximum(to_last, 0.0, out=to_last), out=d2)
-        d2[chosen[c - 1]] = 0.0  # earlier picks are already 0 and stay so
-        total = float(d2.sum())
-        if total > 0.0:
-            cum = d2.cumsum()
-            idx = int(cum.searchsorted(rng.random() * total, side="right"))
-            idx = min(idx, n - 1)
-        else:
-            idx = int(np.argmin(taken))
-        chosen[c] = idx
-        taken[idx] = True
-    return pts[chosen].copy()
+        d2[rows, chosen[:, c - 1]] = 0.0  # earlier picks are already 0 and stay so
+        total = d2.sum(axis=1)
+        idx = np.argmin(taken, axis=1)
+        draw = np.nonzero(total > 0.0)[0]
+        u = np.array([rngs[g].random() for g in draw.tolist()], dtype=np.float64)
+        # cumulative sums never decrease, so counting the ones at or below
+        # the target is searchsorted(..., side="right")
+        below = d2[draw].cumsum(axis=1) <= (u * total[draw])[:, None]
+        idx[draw] = np.minimum(below.sum(axis=1), n - 1)
+        chosen[:, c] = idx
+        taken[rows, idx] = True
+    cents = pts[rows[:, None], chosen]
+    return cents[0] if single else cents
 
 
 def lloyd(X, init: np.ndarray, max_iters: int = 100, tol: float = 1e-4, return_trace: bool = False):
@@ -110,43 +143,65 @@ def lloyd(X, init: np.ndarray, max_iters: int = 100, tol: float = 1e-4, return_t
     from the point currently farthest from its own centroid; reseeds are
     logged at debug level since they can bump the otherwise non-increasing
     SSE. With return_trace=True also returns the per-iteration SSE list.
+
+    For a (G, n, d) stack, init is (G, k, d), each group stops on its own,
+    and the trace is one list per group.
     """
-    pts = _as_points(X)
+    pts, single = _as_stack(X)
     cents = np.array(init, dtype=np.float64, copy=True)
-    k = cents.shape[0]
-    n = pts.shape[0]
+    if single:
+        cents = cents[None]
+    groups, n, _ = pts.shape
+    k = cents.shape[1]
     if k > n:
         raise ValueError(f"more centroids ({k}) than points ({n})")
-    norms = (pts * pts).sum(axis=1)
-    scale = max(1.0, float(np.sqrt(norms.max())))
-    trace = []
+    norms = (pts * pts).sum(axis=2)
+    scale = np.maximum(1.0, np.sqrt(norms.max(axis=1)))
+    traces = [[] for _ in range(groups)]
 
-    for it in range(max_iters):
-        d2 = pairwise_sqdist(pts, cents, norms)
-        labels = np.argmin(d2, axis=1)
-        sizes = np.bincount(labels, minlength=k)
-        reseed = not sizes.all()
-        if return_trace or reseed:
-            own = d2[np.arange(n), labels]
-            trace.append(float(own.sum()))
-        if reseed:
-            for j in np.nonzero(sizes == 0)[0]:
-                idx = int(np.argmax(own))
+    # the groups still iterating, compacted whenever some of them stop
+    live = np.arange(groups)
+    p, nrm, c, sc = pts, norms, cents, scale
+    onehot = np.zeros((groups, n, k))  # cleared again after every mean step
+    cell = np.arange(groups * n).reshape(groups, n) * k
+    for _ in range(max_iters):
+        d2 = pairwise_sqdist(p, c, nrm)
+        labels = np.argmin(d2, axis=2)
+        hot = cell[: live.size] + labels  # flat one-hot index of every item
+        per_group = labels + k * np.arange(live.size)[:, None]
+        sizes = np.bincount(per_group.ravel(), minlength=live.size * k).reshape(live.size, k)
+        reseed = ~sizes.all(axis=1)
+        if return_trace or reseed.any():
+            own = np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0]
+            if return_trace:
+                for g, sse in zip(live.tolist(), own.sum(axis=1).tolist()):
+                    traces[g].append(sse)
+            for g, j in np.argwhere(sizes == 0).tolist():
+                idx = int(np.argmax(own[g]))
                 log.debug("lloyd: reseeding empty cluster %d from point %d", j, idx)
-                cents[j] = pts[idx]
-                own[idx] = -1.0
-            continue
+                c[g, j] = p[g, idx]
+                own[g, idx] = -1.0
 
-        # one-hot matmul computes all k means in two vector ops
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), labels] = 1.0
-        new_cents = (onehot.T @ pts) / sizes[:, None]
-        move = float(np.sqrt(((new_cents - cents) ** 2).sum(axis=1)).max())
-        cents = new_cents
-        if move / scale < tol:
-            break
+        # one-hot matmul computes all k means in two vector ops; a group that
+        # just reseeded keeps its centroids and skips this step
+        onehot.reshape(-1)[hot.ravel()] = 1.0
+        new_cents = (onehot[: live.size].swapaxes(1, 2) @ p) / np.maximum(sizes, 1)[:, :, None]
+        onehot.reshape(-1)[hot.ravel()] = 0.0
+        done = np.sqrt(((new_cents - c) ** 2).sum(axis=2)).max(axis=1) / sc < tol
+        new_cents[reseed] = c[reseed]
+        done &= ~reseed
+        c = new_cents
+        if done.any():
+            cents[live[done]] = c[done]
+            keep = ~done
+            live, p, nrm, c, sc = live[keep], p[keep], nrm[keep], c[keep], sc[keep]
+            if not live.size:
+                break
+    cents[live] = c
 
-    return (cents, trace) if return_trace else cents
+    if single:
+        cents, traces = cents[0], traces[0]
+    return (cents, traces) if return_trace else cents
 
 
 def _discretize(d2: np.ndarray) -> np.ndarray:
@@ -194,11 +249,17 @@ def greedy_assign(X, centroids: np.ndarray, bounds: CapacityBounds) -> ClusterAs
     tops up any cluster left below min_size by repeatedly applying the
     cheapest single-item move out of an over-minimum cluster, ties broken by
     (cost delta, item index, cluster index). Linear in N*k distance work.
+
+    For a (G, n, d) stack, centroids is (G, k, d) and the result holds (G, n)
+    labels, (G, k) sizes and (G,) costs; the repair pass moves one item in
+    every group that still has a deficit at each step.
     """
-    pts = _as_points(X)
+    pts, single = _as_stack(X)
     cents = np.asarray(centroids, dtype=np.float64)
-    n = pts.shape[0]
-    k = cents.shape[0]
+    if single:
+        cents = cents[None]
+    groups, n, _ = pts.shape
+    k = cents.shape[1]
     m, big = bounds.min_size, bounds.max_size
     if k * big < n:
         raise InfeasibleBoundsError(f"k*max_size = {k * big} < N = {n}")
@@ -206,37 +267,80 @@ def greedy_assign(X, centroids: np.ndarray, bounds: CapacityBounds) -> ClusterAs
         raise InfeasibleBoundsError(f"k*min_size = {k * m} > N = {n}")
 
     d2 = pairwise_sqdist(pts, cents)
-    order = np.argsort(d2, axis=1, kind="stable").tolist()
-    assign = np.empty(n, dtype=np.int32)
-    load = [0] * k
-    for i in range(n):
-        for j in order[i]:
-            if load[j] < big:
-                assign[i] = j
-                load[j] += 1
-                break
+    assign, loads = _fill_in_order(np.argsort(d2, axis=2, kind="stable"), big)
+    own = np.take_along_axis(d2, assign[:, :, None], axis=2)[:, :, 0]
+    _top_up(d2, assign, loads, own, m)
+    a = ClusterAssignment(cluster_of=assign, sizes=loads, cost=own.sum(axis=1))
+    return _unstack(a) if single else a
 
-    own = d2[np.arange(n), assign]
-    loads = np.asarray(load, dtype=np.int64)
-    while True:
-        deficits = np.nonzero(loads < m)[0]
-        if deficits.size == 0:
-            break
-        donors = np.nonzero((loads > m)[assign])[0]
-        delta = d2[np.ix_(donors, deficits)] - own[donors, None]
-        flat = int(np.argmin(delta))
-        item = int(donors[flat // deficits.size])
-        dest = int(deficits[flat % deficits.size])
-        loads[assign[item]] -= 1
-        loads[dest] += 1
-        assign[item] = dest
-        own[item] = d2[item, dest]
 
-    return ClusterAssignment(
-        cluster_of=assign,
-        sizes=np.bincount(assign, minlength=k).astype(np.int64),
-        cost=float(own.sum()),
-    )
+def _fill_in_order(order: np.ndarray, big: int) -> tuple[np.ndarray, np.ndarray]:
+    """The capacity pass over (G, n, k) nearest-first cluster orders.
+
+    Each group's items, in index order, take their nearest cluster still
+    below big. Until some cluster is full every item takes its nearest, so
+    that prefix of a group is taken at once and only the rest goes item by
+    item, its rows turned into lists a block at a time. Returns (G, n)
+    labels and (G, k) loads.
+    """
+    groups, n, k = order.shape
+    first = order[:, :, 0]
+    # per item: how many items up to and including it have the same nearest
+    seen = np.cumsum(first[:, :, None] == np.arange(k), axis=1, dtype=np.int32)
+    over = np.take_along_axis(seen, first[:, :, None], axis=2)[:, :, 0] > big
+    stop = np.where(over.any(axis=1), over.argmax(axis=1), n)
+    assign = first.astype(np.int32)
+    loads = seen[np.arange(groups), stop - 1].astype(np.int64)
+    del seen, over
+    for g in np.nonzero(stop < n)[0].tolist():
+        load, picks = loads[g].tolist(), []
+        for start in range(stop[g], n, _FILL_BLOCK):
+            for row in order[g, start : start + _FILL_BLOCK].tolist():
+                for j in row:
+                    if load[j] < big:
+                        picks.append(j)
+                        load[j] += 1
+                        break
+        assign[g, stop[g] :] = picks
+        loads[g] = load
+    return assign, loads
+
+
+def _top_up(d2: np.ndarray, assign: np.ndarray, loads: np.ndarray, own: np.ndarray, m: int) -> None:
+    """The repair pass of greedy_assign, in place on its arrays.
+
+    While a group has a cluster below m, apply its cheapest move of one item
+    out of an over-minimum cluster into such a cluster, ties to the lower
+    item, then the lower cluster.
+    """
+    short = np.nonzero((loads < m).any(axis=1))[0]
+    if not short.size:
+        return
+    k = loads.shape[1]
+    lo = loads[short]
+    # delta[s, i, j]: the cost of moving item i into cluster j, inf unless the
+    # move is allowed; donors and deficits only run out, so entries only
+    # ever turn inf, and the moved items never donate again
+    delta = d2[short]
+    delta -= own[short][:, :, None]
+    delta[~np.take_along_axis(lo > m, assign[short], axis=1)] = np.inf
+    delta.swapaxes(1, 2)[lo >= m] = np.inf
+    live = np.arange(short.size)
+    while live.size:
+        g = short[live]
+        item, dest = np.divmod(delta.reshape(short.size, -1).argmin(axis=1)[live], k)
+        src = assign[g, item]
+        loads[g, src] -= 1
+        loads[g, dest] += 1
+        assign[g, item] = dest
+        own[g, item] = d2[g, item, dest]
+        delta[live, item] = np.inf
+        filled = loads[g, dest] == m
+        delta[live[filled], :, dest[filled]] = np.inf
+        spent = loads[g, src] == m  # the rest of src's items stop donating
+        rows, items = np.nonzero(assign[g[spent]] == src[spent][:, None])
+        delta[live[spent][rows], items] = np.inf
+        live = live[(loads[g] < m).any(axis=1)]
 
 
 def update_centroids(X, a: ClusterAssignment, k: int, prev: np.ndarray | None = None) -> np.ndarray:
@@ -275,26 +379,42 @@ def cluster_level(X, cfg: TreeBuildConfig, rng=None) -> ClusterAssignment:
     The constrained backend alternates optimal assignment with the mean
     update until the assignment stops changing or outer_max_iters assignment
     solves have run, and returns the lowest-cost iterate seen.
+
+    X may be a (G, n, d) stack of equal-size groups; rng is then a sequence
+    of G generators, one per group, and the result is stacked as in
+    greedy_assign. The exact backend solves the groups one at a time.
     """
-    pts = _as_points(X)
-    n = pts.shape[0]
+    pts, single = _as_stack(X)
+    groups, n, _ = pts.shape
     k = cfg.k
     if n <= k:
         raise ValueError(f"cluster_level needs more than k={k} points, got {n}")
     if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+        rng = cfg.seed if single else [cfg.seed] * groups
+    rngs = _rngs(rng, single, groups)
     bounds = balanced_bounds(n, k)
 
-    cents = kmeanspp_init(pts, k, rng)
+    cents = kmeanspp_init(pts, k, rngs)
     cents = lloyd(pts, cents, max_iters=cfg.lloyd_max_iters, tol=cfg.lloyd_tol)
 
-    use_greedy = cfg.method == "greedy" or (cfg.method == "hybrid" and n > cfg.greedy_threshold)
-    if use_greedy:
-        return greedy_assign(pts, cents, bounds)
+    if cfg.method == "greedy" or (cfg.method == "hybrid" and n > cfg.greedy_threshold):
+        a = greedy_assign(pts, cents, bounds)
+    else:
+        splits = [_exact_split(p, c, bounds, cfg.outer_max_iters) for p, c in zip(pts, cents)]
+        a = ClusterAssignment(
+            cluster_of=np.stack([s.cluster_of for s in splits]),
+            sizes=np.stack([s.sizes for s in splits]),
+            cost=np.array([s.cost for s in splits]),
+        )
+    return _unstack(a) if single else a
 
+
+def _exact_split(pts: np.ndarray, cents: np.ndarray, bounds: CapacityBounds, outer_max_iters: int) -> ClusterAssignment:
+    """The constrained backend's alternation for one group, from its Lloyd centroids."""
+    k = cents.shape[0]
     a = constrained_assign(pts, cents, bounds)
     best = a
-    for _ in range(cfg.outer_max_iters - 1):
+    for _ in range(outer_max_iters - 1):
         cents = update_centroids(pts, a, k, prev=cents)
         nxt = constrained_assign(pts, cents, bounds)
         if nxt.cost < best.cost:

@@ -1,15 +1,21 @@
-"""Recursive balanced identifier construction and tree lookups.
+"""Level-synchronous balanced identifier construction and tree lookups.
 
 A group of n > k items is split into k balanced clusters, one child per
 cluster; a group of n <= k items becomes a leaf group whose items take the
 sequential branch ordinals 0..n-1 in ascending item order. Shorter identifiers
 are padded with the pad token (value k) to the uniform tree depth.
 
-Every split derives its own RNG stream from (seed, node id), with node ids
-assigned in breadth-first order, so a split's result depends only on its
-items, the config and its place in the tree. Splits run one at a time: the
-exact backend is pure Python, so threads would only queue on the interpreter
-lock.
+The tree is built one level at a time. A level is one permutation of its
+items, group after group in node-id order with each group's items ascending,
+plus the group sizes. Every group of the same size n > k is split in one
+cluster_level call on a (G, n, d) stack, the level's path column is written
+for all of its items at once, and a stable sort by (group, cluster) lays out
+the next level. Node ids are breadth-first: a split group's children take k
+consecutive ids and a leaf group's items take n.
+
+Every split derives its own RNG stream from (seed, node id), so a split's
+result depends only on its items, the config and its place in the tree, not
+on which groups share its stack.
 """
 
 from dataclasses import dataclass
@@ -18,6 +24,11 @@ import numpy as np
 
 from .clustering import cluster_level
 from .core import EmbeddingMatrix, IdentifierTree, TreeBuildConfig, validate_embeddings
+
+# Items per stacked split at most (a group larger than this is split alone),
+# so a level's stacks keep the temporaries of clustering no larger than the
+# root split's.
+STACK_ROWS = 1 << 15
 
 
 class InvalidEmbeddingsError(ValueError):
@@ -45,40 +56,53 @@ def build_tree_with_stats(X, cfg: TreeBuildConfig) -> tuple[IdentifierTree, Buil
     res = validate_embeddings(m)
     if not res.ok:
         raise InvalidEmbeddingsError("; ".join(res.violations))
-    pts = m.as_array().astype(np.float64)
-    k = cfg.k
+    pts = m.as_array()  # float32; a stack is widened exactly as it is gathered
+    k, n_items = cfg.k, m.n_items
 
-    leaves = []  # (member item indices ascending, token prefix) of each leaf group
+    columns = []  # one path column per level
     total_sse = 0.0
     n_splits = 0
     next_id = 1
-    # (node id, member item indices ascending, token prefix)
-    level = [(0, np.arange(m.n_items, dtype=np.int64), ())]
+    # the level's items group by group, each group's size and node id
+    perm = np.arange(n_items, dtype=np.int64)
+    sizes = np.array([n_items], dtype=np.int64)
+    ids = np.zeros(1, dtype=np.int64)
 
-    while level:
-        next_level = []
-        for nid, items, prefix in level:
-            n = items.size
-            if n > k:
-                a = cluster_level(pts[items], cfg, rng=_node_rng(cfg.seed, nid))
-                total_sse += a.cost
-                n_splits += 1
-                # a stable sort keeps every child's items ascending
-                grouped = items[np.argsort(a.cluster_of, kind="stable")]
-                for j, child_items in enumerate(np.split(grouped, np.cumsum(a.sizes)[:-1])):
-                    next_level.append((next_id, child_items, prefix + (j,)))
-                    next_id += 1
-            else:
-                leaves.append((items, prefix))
-                next_id += n
-        level = next_level
+    while sizes.size:
+        split = sizes > k
+        starts = np.cumsum(sizes) - sizes
+        col = np.full(n_items, k, dtype=np.int32)
+        costs = np.zeros(sizes.size)
+        for n in np.unique(sizes[split]).tolist():
+            same = np.nonzero(sizes == n)[0]
+            per = max(1, STACK_ROWS // n)
+            for gs in (same[i : i + per] for i in range(0, same.size, per)):
+                members = perm[starts[gs][:, None] + np.arange(n)]
+                rngs = [_node_rng(cfg.seed, nid) for nid in ids[gs].tolist()]
+                a = cluster_level(pts[members].astype(np.float64), cfg, rng=rngs)
+                col[members] = a.cluster_of
+                costs[gs] = a.cost
+        for cost in costs[split].tolist():  # node-id order
+            total_sse += cost
+        n_splits += int(split.sum())
+        group = np.repeat(np.arange(sizes.size), sizes)
+        inner = split[group]
+        # a leaf group's items take the ordinals 0..n-1
+        col[perm[~inner]] = (np.arange(perm.size) - starts[group])[~inner]
+        columns.append(col)
 
-    depth = max(len(prefix) for _, prefix in leaves) + 1
-    matrix = np.full((m.n_items, depth), k, dtype=np.int32)
-    for items, prefix in leaves:
-        matrix[items, : len(prefix)] = prefix
-        matrix[items, len(prefix)] = np.arange(items.size)
-    tree = IdentifierTree.from_paths(k, matrix)
+        # a split group's children take k ids, a leaf group's items take n
+        used = np.where(split, k, sizes)
+        first_child = next_id + np.cumsum(used) - used
+        next_id += int(used.sum())
+        # a stable sort by (split group, cluster) keeps every child's items ascending
+        rank = np.cumsum(split)[group[inner]] - 1
+        key = rank * k + col[perm[inner]]
+        perm = perm[inner][np.argsort(key, kind="stable")]
+        sizes = np.bincount(key, minlength=int(split.sum()) * k)
+        ids = (first_child[split][:, None] + np.arange(k)).ravel()
+
+    tree = IdentifierTree.from_paths(k, np.stack(columns, axis=1))
     return tree, BuildStats(total_sse=total_sse, n_splits=n_splits)
 
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,30 @@ class TestGreedyAssign:
         greedy_assign(pts, cents, balanced_bounds(60, 5))
         assert clustering.distance_eval_count() <= 60 * 5
 
+    def test_stack_counts_every_group(self):
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(4, 60, 2))
+        cents = rng.normal(size=(4, 5, 2))
+        clustering.reset_distance_eval_count()
+        greedy_assign(pts, cents, balanced_bounds(60, 5))
+        assert clustering.distance_eval_count() == 4 * 60 * 5
+
+    def test_stack_equals_separate_calls_with_repairs(self):
+        # points near 0 and centroids far apart on a line: every item fills
+        # the nearest clusters to max_size first, so the last ones need top-ups
+        rng = np.random.default_rng(15)
+        n, k = 4 * 6 + 1, 4
+        pts = rng.random((3, n, 1))
+        cents = np.array([[[0.0], [10.0], [20.0], [30.0]]] * 3) + rng.random((3, 1, 1))
+        bounds = balanced_bounds(n, k)
+        stacked = greedy_assign(pts, cents, bounds)
+        for g in range(3):
+            one = greedy_assign(pts[g], cents[g], bounds)
+            assert np.array_equal(stacked.cluster_of[g], one.cluster_of)
+            assert np.array_equal(stacked.sizes[g], one.sizes)
+            assert stacked.cost[g] == one.cost
+            assert one.sizes.tolist() == [7, 6, 6, 6]
+
 
 def test_dominance_greedy_vs_constrained():
     rng = np.random.default_rng(8)
@@ -254,3 +280,59 @@ class TestClusterLevel:
             pts = rng.normal(size=(23, 2))
             a = cluster_level(pts, TreeBuildConfig(k=4, method=method, seed=1, outer_max_iters=3))
             assert sorted(a.sizes.tolist()) == [5, 6, 6, 6]
+
+
+def _node_rngs(seeds):
+    return [np.random.default_rng(np.random.SeedSequence(5, spawn_key=(s,))) for s in seeds]
+
+
+@pytest.mark.parametrize("method", ["greedy", "constrained", "hybrid"])
+@pytest.mark.parametrize("n,k", [(25, 8), (4 * 6 + 1, 4), (3 * 9 + 1, 3), (40, 2)])
+def test_stacked_split_equals_separate_splits(method, n, k, caplog, monkeypatch):
+    short_groups = []
+    top_up = clustering._top_up
+
+    def spy(d2, assign, loads, own, m):
+        short_groups.append(int((loads < m).any(axis=1).sum()))
+        top_up(d2, assign, loads, own, m)
+
+    monkeypatch.setattr(clustering, "_top_up", spy)
+    rng = np.random.default_rng(16)
+    groups = [
+        rng.normal(size=(n, 3)),
+        np.tile(rng.normal(size=(1, 3)), (n, 1)),  # all rows identical
+        np.repeat(rng.normal(size=(2, 3)), [n - 1, 1], axis=0),  # two distinct rows
+        np.round(rng.normal(size=(n, 3))),  # many exact ties
+        rng.normal(size=(n, 3)) * 1e4,
+    ]
+    pts = np.stack(groups)
+    cfg = TreeBuildConfig(k=k, method=method, greedy_threshold=n if method == "hybrid" else 2000, seed=5, outer_max_iters=4)
+    seeds = list(range(10, 10 + len(groups)))
+    with caplog.at_level(logging.DEBUG, logger="treeid.clustering"):
+        stacked = cluster_level(pts, cfg, rng=_node_rngs(seeds))
+    assert any("reseeding" in r.getMessage() for r in caplog.records)
+    if method == "greedy":
+        assert short_groups[0] > 1  # the stacked repair pass ran for several groups at once
+    for g, (p, r) in enumerate(zip(pts, _node_rngs(seeds))):
+        one = cluster_level(p, cfg, rng=r)
+        assert np.array_equal(stacked.cluster_of[g], one.cluster_of), g
+        assert np.array_equal(stacked.sizes[g], one.sizes), g
+        assert stacked.cost[g] == one.cost, g
+    assert stacked.cluster_of.shape == (len(groups), n) and stacked.sizes.shape == (len(groups), k)
+
+
+def test_stacked_init_and_lloyd_equal_separate_calls():
+    rng = np.random.default_rng(17)
+    pts = np.stack([rng.normal(size=(30, 2)), np.zeros((30, 2)), np.repeat(rng.normal(size=(3, 2)), 10, axis=0)])
+    cents = kmeanspp_init(pts, 4, [1, 2, 3])
+    final, traces = lloyd(pts, cents, max_iters=15, return_trace=True)
+    for g, seed in enumerate([1, 2, 3]):
+        assert np.array_equal(cents[g], kmeanspp_init(pts[g], 4, seed))
+        one, trace = lloyd(pts[g], cents[g], max_iters=15, return_trace=True)
+        assert np.array_equal(final[g], one)
+        assert traces[g] == trace
+
+
+def test_stack_needs_one_seed_per_group():
+    with pytest.raises(ValueError):
+        kmeanspp_init(np.zeros((3, 5, 2)), 2, [1, 2])

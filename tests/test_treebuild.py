@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeid import treebuild
+from treeid.clustering import cluster_level
 from treeid.core import TreeBuildConfig, validate_tree
 from treeid.treebuild import (
     InvalidEmbeddingsError,
@@ -206,3 +208,80 @@ def test_node_embeddings_bit_identical_to_sequential_sums():
         X = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 4)
         t = rand_tree(rng, n, k)
         assert np.array_equal(node_embeddings(t, X), loop_node_embeddings(t, X))
+
+
+def loop_build(X, cfg):
+    """The per-node build: one 2-D cluster_level call per split, breadth first.
+
+    Returns (paths, total_sse, n_splits) as the reference for the
+    level-synchronous build.
+    """
+    pts = np.asarray(X, dtype=np.float64)
+    k = cfg.k
+    leaves, total_sse, n_splits, next_id = [], 0.0, 0, 1
+    level = [(0, np.arange(len(pts)), ())]  # (node id, items ascending, token prefix)
+    while level:
+        next_level = []
+        for nid, items, prefix in level:
+            if items.size > k:
+                rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(nid,)))
+                a = cluster_level(pts[items], cfg, rng=rng)
+                total_sse += a.cost
+                n_splits += 1
+                grouped = items[np.argsort(a.cluster_of, kind="stable")]
+                for j, child in enumerate(np.split(grouped, np.cumsum(a.sizes)[:-1])):
+                    next_level.append((next_id, child, prefix + (j,)))
+                    next_id += 1
+            else:
+                leaves.append((items, prefix))
+                next_id += items.size
+        level = next_level
+    paths = np.full((len(pts), max(len(p) for _, p in leaves) + 1), k, dtype=np.int32)
+    for items, prefix in leaves:
+        paths[items, : len(prefix)] = prefix
+        paths[items, len(prefix)] = np.arange(items.size)
+    return paths, total_sse, n_splits
+
+
+def assert_matches_loop_build(X, cfg):
+    tree, stats = build_tree_with_stats(X, cfg)
+    paths, total_sse, n_splits = loop_build(X, cfg)
+    assert np.array_equal(tree.paths, paths)
+    assert type(stats.total_sse) is float and stats.total_sse == total_sse
+    assert stats.n_splits == n_splits
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    k=st.sampled_from([2, 3, 8, 32]),
+    method=st.sampled_from(["greedy", "constrained", "hybrid"]),
+    threshold=st.integers(0, 120),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_level_build_equals_per_node_build(n, k, method, threshold, seed):
+    # most n leave leaf groups at more than one depth: a level holds groups
+    # of n // k and n // k + 1 items, on both sides of k
+    X = np.random.default_rng(seed).normal(size=(n, 3)).astype(np.float32)
+    cfg = TreeBuildConfig(
+        k=k, method=method, greedy_threshold=max(k, threshold), seed=seed, outer_max_iters=3, lloyd_max_iters=20
+    )
+    assert_matches_loop_build(X, cfg)
+
+
+def test_level_build_with_duplicates_and_mixed_depths():
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(777, 4)).astype(np.float32)
+    X[100:300] = X[100]  # one blob of identical rows: k-means++ runs out of distinct points
+    for k in (2, 8):
+        assert_matches_loop_build(X, TreeBuildConfig(k=k, method="hybrid", greedy_threshold=64, seed=3))
+
+
+def test_stack_cap_does_not_change_the_tree(monkeypatch):
+    X = np.random.default_rng(14).normal(size=(2500, 3)).astype(np.float32)
+    cfg = TreeBuildConfig(k=8, method="greedy", seed=5)
+    tree, stats = build_tree_with_stats(X, cfg)
+    monkeypatch.setattr(treebuild, "STACK_ROWS", 40)  # one or two groups per stack
+    capped, capped_stats = build_tree_with_stats(X, cfg)
+    assert np.array_equal(capped.paths, tree.paths)
+    assert capped_stats == stats
