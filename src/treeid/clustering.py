@@ -8,6 +8,10 @@ kmeanspp_init, lloyd, greedy_assign and cluster_level also take a (G, n, d)
 stack of G equal-size groups and treat every group exactly as a separate
 (n, d) call would, bit for bit: a 2-D call is the G = 1 case. Only the
 scalar random draws, Lloyd's reseeds and the exact solves loop over groups.
+
+The functions that measure distances accept pt_norms, the squared point
+norms (pts * pts).sum(axis=-1); cluster_level computes them once per split
+and passes them to every step.
 """
 
 import logging
@@ -87,7 +91,14 @@ def pairwise_sqdist(pts: np.ndarray, cents: np.ndarray, pt_norms: np.ndarray | N
     return np.maximum(sq, 0.0, out=sq)
 
 
-def kmeanspp_init(X, k: int, seed) -> np.ndarray:
+def _norms(pts: np.ndarray, pt_norms: np.ndarray | None) -> np.ndarray:
+    """(G, n) squared norms of a (G, n, d) stack: pt_norms reshaped, or computed."""
+    if pt_norms is None:
+        return (pts * pts).sum(axis=-1)
+    return np.reshape(pt_norms, pts.shape[:-1])
+
+
+def kmeanspp_init(X, k: int, seed, pt_norms: np.ndarray | None = None) -> np.ndarray:
     """Pick k distinct starting centroids by squared-distance-weighted sampling.
 
     seed may be an int or a numpy Generator; for a (G, n, d) stack it is a
@@ -95,7 +106,7 @@ def kmeanspp_init(X, k: int, seed) -> np.ndarray:
     The same seed always yields the same centroids. Points already chosen
     carry zero weight; when every remaining point coincides with a chosen
     one, the lowest unchosen index is taken so the result stays a set of k
-    distinct items.
+    distinct items. pt_norms is as in pairwise_sqdist.
     """
     pts, single = _as_stack(X)
     groups, n, _ = pts.shape
@@ -105,7 +116,7 @@ def kmeanspp_init(X, k: int, seed) -> np.ndarray:
 
     global _dist_evals
     rows = np.arange(groups)
-    norms = (pts * pts).sum(axis=2)
+    norms = _norms(pts, pt_norms)
     chosen = np.empty((groups, k), dtype=np.int64)
     chosen[:, 0] = [rng.integers(n) for rng in rngs]
     taken = np.zeros((groups, n), dtype=bool)
@@ -134,18 +145,28 @@ def kmeanspp_init(X, k: int, seed) -> np.ndarray:
     return cents[0] if single else cents
 
 
-def lloyd(X, init: np.ndarray, max_iters: int = 100, tol: float = 1e-4, return_trace: bool = False):
+def lloyd(
+    X,
+    init: np.ndarray,
+    max_iters: int = 100,
+    tol: float = 1e-4,
+    return_trace: bool = False,
+    pt_norms: np.ndarray | None = None,
+):
     """Standard k-means iteration from the given starting centroids.
 
     Alternates nearest-centroid assignment (ties to the lower index) with the
-    mean update until the largest centroid move, relative to the data scale,
-    drops below tol or max_iters is hit. A cluster that empties is reseeded
-    from the point currently farthest from its own centroid; reseeds are
-    logged at debug level since they can bump the otherwise non-increasing
-    SSE. With return_trace=True also returns the per-iteration SSE list.
+    mean update until the largest centroid move, divided by the group's
+    largest point norm floored at 1 (max(1, max ||x||)), drops below tol or
+    max_iters is hit. The floor makes the test absolute for data within the
+    unit ball: there a move must fall below tol itself. A cluster that
+    empties is reseeded from the point currently farthest from its own
+    centroid; reseeds are logged at debug level since they can bump the
+    otherwise non-increasing SSE. With return_trace=True also returns the
+    per-iteration SSE list.
 
     For a (G, n, d) stack, init is (G, k, d), each group stops on its own,
-    and the trace is one list per group.
+    and the trace is one list per group. pt_norms is as in pairwise_sqdist.
     """
     pts, single = _as_stack(X)
     cents = np.array(init, dtype=np.float64, copy=True)
@@ -155,7 +176,7 @@ def lloyd(X, init: np.ndarray, max_iters: int = 100, tol: float = 1e-4, return_t
     k = cents.shape[1]
     if k > n:
         raise ValueError(f"more centroids ({k}) than points ({n})")
-    norms = (pts * pts).sum(axis=2)
+    norms = _norms(pts, pt_norms)
     scale = np.maximum(1.0, np.sqrt(norms.max(axis=1)))
     traces = [[] for _ in range(groups)]
 
@@ -221,17 +242,26 @@ def _discretize(d2: np.ndarray) -> np.ndarray:
     return np.rint(d2 * scale).astype(np.int64)
 
 
-def constrained_assign(X, centroids: np.ndarray, bounds: CapacityBounds) -> ClusterAssignment:
+def constrained_assign(
+    X,
+    centroids: np.ndarray,
+    bounds: CapacityBounds,
+    start: np.ndarray | None = None,
+    pt_norms: np.ndarray | None = None,
+) -> ClusterAssignment:
     """Cost-optimal assignment under the load bounds, via the exact flow solver.
 
     The reported cost is the real-valued SSE of the returned assignment, not
-    the discretized objective the solver minimizes.
+    the discretized objective the solver minimizes. start, a feasible
+    assignment such as the previous iterate's, is handed to the solver to
+    re-solve from; it never changes the result. pt_norms is as in
+    pairwise_sqdist.
     """
     pts = _as_points(X)
     cents = np.asarray(centroids, dtype=np.float64)
-    d2 = pairwise_sqdist(pts, cents)
+    d2 = pairwise_sqdist(pts, cents, pt_norms)
     inst = TransportInstance(_discretize(d2), bounds)
-    assign, _ = solve_balanced_transport(inst)
+    assign, _ = solve_balanced_transport(inst, start=start)
     n, k = d2.shape
     return ClusterAssignment(
         cluster_of=assign,
@@ -240,7 +270,9 @@ def constrained_assign(X, centroids: np.ndarray, bounds: CapacityBounds) -> Clus
     )
 
 
-def greedy_assign(X, centroids: np.ndarray, bounds: CapacityBounds) -> ClusterAssignment:
+def greedy_assign(
+    X, centroids: np.ndarray, bounds: CapacityBounds, pt_norms: np.ndarray | None = None
+) -> ClusterAssignment:
     """Sequential nearest-available assignment under the load bounds.
 
     Items are processed in ascending index order; each takes its nearest
@@ -252,7 +284,8 @@ def greedy_assign(X, centroids: np.ndarray, bounds: CapacityBounds) -> ClusterAs
 
     For a (G, n, d) stack, centroids is (G, k, d) and the result holds (G, n)
     labels, (G, k) sizes and (G,) costs; the repair pass moves one item in
-    every group that still has a deficit at each step.
+    every group that still has a deficit at each step. pt_norms is as in
+    pairwise_sqdist.
     """
     pts, single = _as_stack(X)
     cents = np.asarray(centroids, dtype=np.float64)
@@ -266,7 +299,7 @@ def greedy_assign(X, centroids: np.ndarray, bounds: CapacityBounds) -> ClusterAs
     if k * m > n:
         raise InfeasibleBoundsError(f"k*min_size = {k * m} > N = {n}")
 
-    d2 = pairwise_sqdist(pts, cents)
+    d2 = pairwise_sqdist(pts, cents, _norms(pts, pt_norms))
     assign, loads = _fill_in_order(np.argsort(d2, axis=2, kind="stable"), big)
     own = np.take_along_axis(d2, assign[:, :, None], axis=2)[:, :, 0]
     _top_up(d2, assign, loads, own, m)
@@ -378,7 +411,8 @@ def cluster_level(X, cfg: TreeBuildConfig, rng=None) -> ClusterAssignment:
 
     The constrained backend alternates optimal assignment with the mean
     update until the assignment stops changing or outer_max_iters assignment
-    solves have run, and returns the lowest-cost iterate seen.
+    solves have run, and returns the lowest-cost iterate seen. Each solve
+    after a group's first re-solves from the previous iterate.
 
     X may be a (G, n, d) stack of equal-size groups; rng is then a sequence
     of G generators, one per group, and the result is stacked as in
@@ -394,13 +428,14 @@ def cluster_level(X, cfg: TreeBuildConfig, rng=None) -> ClusterAssignment:
     rngs = _rngs(rng, single, groups)
     bounds = balanced_bounds(n, k)
 
-    cents = kmeanspp_init(pts, k, rngs)
-    cents = lloyd(pts, cents, max_iters=cfg.lloyd_max_iters, tol=cfg.lloyd_tol)
+    norms = (pts * pts).sum(axis=-1)
+    cents = kmeanspp_init(pts, k, rngs, pt_norms=norms)
+    cents = lloyd(pts, cents, max_iters=cfg.lloyd_max_iters, tol=cfg.lloyd_tol, pt_norms=norms)
 
     if cfg.method == "greedy" or (cfg.method == "hybrid" and n > cfg.greedy_threshold):
-        a = greedy_assign(pts, cents, bounds)
+        a = greedy_assign(pts, cents, bounds, pt_norms=norms)
     else:
-        splits = [_exact_split(p, c, bounds, cfg.outer_max_iters) for p, c in zip(pts, cents)]
+        splits = [_exact_split(*group, bounds, cfg.outer_max_iters) for group in zip(pts, cents, norms)]
         a = ClusterAssignment(
             cluster_of=np.stack([s.cluster_of for s in splits]),
             sizes=np.stack([s.sizes for s in splits]),
@@ -409,14 +444,19 @@ def cluster_level(X, cfg: TreeBuildConfig, rng=None) -> ClusterAssignment:
     return _unstack(a) if single else a
 
 
-def _exact_split(pts: np.ndarray, cents: np.ndarray, bounds: CapacityBounds, outer_max_iters: int) -> ClusterAssignment:
-    """The constrained backend's alternation for one group, from its Lloyd centroids."""
+def _exact_split(
+    pts: np.ndarray, cents: np.ndarray, norms: np.ndarray, bounds: CapacityBounds, outer_max_iters: int
+) -> ClusterAssignment:
+    """The constrained backend's alternation for one group, from its Lloyd centroids.
+
+    The first solve is cold; each later one starts from the previous iterate.
+    """
     k = cents.shape[0]
-    a = constrained_assign(pts, cents, bounds)
+    a = constrained_assign(pts, cents, bounds, pt_norms=norms)
     best = a
     for _ in range(outer_max_iters - 1):
         cents = update_centroids(pts, a, k, prev=cents)
-        nxt = constrained_assign(pts, cents, bounds)
+        nxt = constrained_assign(pts, cents, bounds, start=a.cluster_of, pt_norms=norms)
         if nxt.cost < best.cost:
             best = nxt
         stable = np.array_equal(nxt.cluster_of, a.cluster_of)

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from treeid import clustering
+from treeid import clustering, mincostflow
 from treeid.clustering import (
     cluster_level,
     constrained_assign,
@@ -336,3 +336,60 @@ def test_stacked_init_and_lloyd_equal_separate_calls():
 def test_stack_needs_one_seed_per_group():
     with pytest.raises(ValueError):
         kmeanspp_init(np.zeros((3, 5, 2)), 2, [1, 2])
+
+
+def cold_exact_split(pts, cents, bounds, outer_max_iters):
+    """The constrained alternation with every solve cold: the reference for
+    the warm re-solves of cluster_level."""
+    k = cents.shape[0]
+    a = constrained_assign(pts, cents, bounds)
+    best = a
+    for _ in range(outer_max_iters - 1):
+        cents = update_centroids(pts, a, k, prev=cents)
+        nxt = constrained_assign(pts, cents, bounds)
+        if nxt.cost < best.cost:
+            best = nxt
+        stable = np.array_equal(nxt.cluster_of, a.cluster_of)
+        a = nxt
+        if stable:
+            break
+    return best
+
+
+@pytest.mark.parametrize("method", ["constrained", "hybrid"])
+@pytest.mark.parametrize("k", [2, 3, 8])
+@pytest.mark.parametrize("outer_max_iters", [1, 2, 20])
+def test_warm_outer_loop_equals_cold_loop(method, k, outer_max_iters, monkeypatch):
+    certified = []
+    cancel = mincostflow._cancel_cycles
+
+    def spy(*args):
+        out = cancel(*args)
+        certified.append(out is not None)
+        return out
+
+    monkeypatch.setattr(mincostflow, "_cancel_cycles", spy)
+    rng = np.random.default_rng(19 + k)
+    n = 12 * k + 5
+    groups = [
+        rng.normal(size=(n, 3)),
+        rng.normal(size=(n, 3)) * 50.0,
+        np.repeat(rng.normal(size=(4, 3)), [n - 3 * (n // 4), n // 4, n // 4, n // 4], axis=0),  # duplicates
+        np.tile(rng.normal(size=(1, 3)), (n, 1)),  # all rows identical: every optimum is tied
+        np.round(rng.normal(size=(n, 3))),  # many exact ties
+    ]
+    cfg = TreeBuildConfig(k=k, method=method, greedy_threshold=n, seed=3, outer_max_iters=outer_max_iters)
+    for g, pts in enumerate(groups):
+        for seed in (1, 2):
+            got = cluster_level(pts, cfg, rng=np.random.default_rng(seed))
+            r = np.random.default_rng(seed)
+            cents = lloyd(pts, kmeanspp_init(pts, k, r), max_iters=cfg.lloyd_max_iters, tol=cfg.lloyd_tol)
+            want = cold_exact_split(pts, cents, balanced_bounds(n, k), outer_max_iters)
+            assert np.array_equal(got.cluster_of, want.cluster_of), (g, seed)
+            assert np.array_equal(got.sizes, want.sizes), (g, seed)
+            assert type(got.cost) is float and got.cost == want.cost, (g, seed)
+    if outer_max_iters == 1:
+        assert not certified  # a group's first solve is always cold
+    else:
+        assert True in certified  # warm re-solves were accepted
+        assert False in certified  # and the duplicate groups forced the fallback
