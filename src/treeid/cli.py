@@ -118,6 +118,11 @@ def _build_parser() -> _Parser:
     return p
 
 
+# built once: argparse leaves reference cycles behind each add_argument, and
+# parsing does not change the parser
+_PARSER = _build_parser()
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
@@ -245,10 +250,9 @@ _COMMANDS = {
 
 def run(argv) -> int:
     """Parse argv (without the program name) and run one command."""
-    parser = _build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _PARSER.parse_args(argv)
         except SystemExit as e:  # argparse --help
             return 0 if e.code in (0, None) else 1
         if args.command == "bench":

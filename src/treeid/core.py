@@ -157,10 +157,14 @@ class _Trie:
     leaf: np.ndarray  # (n,) node where each sorted row ends
 
     @classmethod
-    def build(cls, k: int, paths: np.ndarray) -> "_Trie":
-        """The trie of paths whose tokens before each row's first pad lie in [0, k)."""
+    def build(cls, k: int, paths: np.ndarray, length: np.ndarray | None = None) -> "_Trie":
+        """The trie of paths whose tokens before each row's first pad lie in [0, k).
+
+        length, if given, is _real_lengths(k, paths).
+        """
         n, depth = paths.shape
-        length = _real_lengths(k, paths)
+        if length is None:
+            length = _real_lengths(k, paths)
         # the smallest dtype holding k lets lexsort take its radix path
         rows = np.where(np.arange(depth) < length[:, None], paths, k).astype(np.min_scalar_type(k))
         order = np.lexsort(rows.T[::-1]) if depth else np.arange(n)
@@ -357,7 +361,7 @@ def _checked_trie(k: int, depth: int, paths) -> tuple[list[str], _Trie | None]:
     if violations:
         return violations, None
 
-    trie = _Trie.build(k, paths)
+    trie = _Trie.build(k, paths, length)
     return trie.violations(k, depth), trie
 
 

@@ -116,13 +116,18 @@ def dot_scorer(node_embs: np.ndarray, t: IdentifierTree):
     """
     dim = node_embs.shape[1]
 
-    def scorer(context, node):
-        if np.ndim(node) == 0:  # one node: the scores of its real children
-            row = scorer(np.reshape(context, (1, -1)), np.full((1, 1), node))[0, 0]
-            return row[t.children[node] >= 0]
+    def batch(context, node):
         q = np.asarray(context, dtype=np.float64)
         if q.ndim != 2 or q.shape[1] != dim:
             raise ValueError(f"query shape {q.shape} does not match node embedding dim {dim}")
         return (node_embs[t.children[node]] @ q[:, None, :, None])[..., 0]
+
+    # scorer calls batch, not itself: a self-referencing closure is a cycle
+    # that keeps node_embs alive until the cyclic garbage collector runs
+    def scorer(context, node):
+        if np.ndim(node) == 0:  # one node: the scores of its real children
+            row = batch(np.reshape(context, (1, -1)), np.full((1, 1), node))[0, 0]
+            return row[t.children[node] >= 0]
+        return batch(context, node)
 
     return scorer

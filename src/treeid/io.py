@@ -11,11 +11,15 @@ The binary embedding format is little-endian and fixed width:
 
 Trees serialize to a canonical single-line JSON object whose keys always
 appear in the same order, so write -> read -> write is byte identical.
+read_tree parses that canonical text with numpy, straight into the path
+matrix, and any other JSON spelling of a tree with the json module; both
+documents then pass the same checks.
 Reports are plain CSVs with a header row and values at 6 significant digits.
 """
 
 import csv
 import json
+import re
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -158,15 +162,57 @@ def write_tree(t: IdentifierTree, sink):
         f.write("\n")
 
 
+_INT = "(0|[1-9][0-9]{0,17})"  # below 10**18, no leading zero
+_CANONICAL_HEAD = re.compile(
+    rf'\{{"format":"{TREE_FORMAT}","k":{_INT},"depth":{_INT},"n_items":{_INT},"pad_token":{_INT},'
+    r'"paths":\['
+)
+
+
+def _canonical_tree(text: str):
+    """The document of write_tree's exact text, paths parsed by numpy; None for any other text.
+
+    The header must be write_tree's, and the paths N rows of D tokens of 1-10
+    digits without leading zeros, N, D >= 1, with no other byte.
+    """
+    head = _CANONICAL_HEAD.match(text)
+    end = len(text) - text.endswith("\n") - 2
+    if head is None or text[end : end + 2] != "]}" or not text.isascii():
+        return None
+    k, depth, n_items, pad = map(int, head.groups())
+    body = np.frombuffer(text[head.end() : end].encode() + b",", dtype=np.uint8)
+    digit = body - np.uint8(48)  # separators wrap past 9
+    sep = np.flatnonzero(digit > 9)  # each row: [ D-1 commas ] ,
+    if depth < 1 or n_items < 1 or sep.size != n_items * (depth + 2):
+        return None
+    row = np.frombuffer(b"[" + b"," * (depth - 1) + b"],", dtype=np.uint8)
+    if not np.array_equal(body[sep], np.tile(row, n_items)):
+        return None
+    gap = (np.diff(sep, prepend=-1) - 1).reshape(n_items, depth + 2)  # digits before each separator
+    length, last = gap[:, 1:-1], sep.reshape(n_items, depth + 2)[:, 1:-1] - 1
+    longest = int(length.max())
+    if gap[:, 0].any() or gap[:, -1].any() or length.min() < 1 or longest > 10:
+        return None
+    if longest > 1 and ((length > 1) & (digit[last - length + 1] == 0)).any():  # a leading zero
+        return None
+    paths = digit[last].astype(np.int64)
+    for j in range(1, longest):
+        paths += np.where(length > j, digit[last - j], np.uint8(0)) * np.int64(10**j)
+    return {"format": TREE_FORMAT, "k": k, "depth": depth, "n_items": n_items, "pad_token": pad,
+            "paths": paths}
+
+
 def read_tree(source) -> IdentifierTree:
     """Parse tree JSON, validate the paths, and build the node arena from the same trie.
 
-    Header fields and tokens must be JSON integers; nothing is coerced.
+    write_tree's canonical text is parsed by numpy and any other JSON by the
+    json module; both documents then pass the same checks. Header fields and
+    tokens must be JSON integers; nothing is coerced.
     """
     try:
         with _opened(source, "r") as f:
             text = f.read()
-        doc = json.loads(text)
+        doc = _canonical_tree(text) or json.loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise TreeFormatError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict) or doc.get("format") != TREE_FORMAT:

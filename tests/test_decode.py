@@ -1,7 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from treeid.core import IdentifierTree, TreeBuildConfig
+from treeid import io as tio
+from treeid.cli import run as cli_run
+from treeid.core import EmbeddingMatrix, IdentifierTree, TreeBuildConfig
 from treeid.decode import BeamConfig, ScorerContractError, beam_search, beam_search_batch, dot_scorer
 from treeid.treebuild import build_tree, node_embeddings
 
@@ -266,3 +271,35 @@ class TestBatchedSearch:
         for scorer in (wrong_shape, non_finite):
             with pytest.raises(ScorerContractError):
                 beam_search_batch(t, scorer, contexts, BeamConfig(2, 1))
+
+
+class TestNoCyclicGarbage:
+    """Decode's tables are freed by reference counting, not by the cyclic GC."""
+
+    def test_dropped_dot_scorer_frees_node_embeddings(self):
+        X, t, embs = TestDotScorer.orthogonal_blob_setup()
+        alive = weakref.ref(embs)
+        gc.disable()
+        try:
+            scorer = dot_scorer(embs, t)
+            scorer(X[0], 0)
+            scorer(X[:2], np.zeros((2, 1), dtype=np.int64))
+            del scorer, embs
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_cli_decode_leaves_no_cycles(self, tmp_path):
+        X = np.random.default_rng(45).normal(size=(60, 4)).astype(np.float32)
+        tio.write_tree(build_tree(X, TreeBuildConfig(k=3, method="greedy")), tmp_path / "tree.json")
+        tio.write_embeddings(EmbeddingMatrix.from_array(X), tmp_path / "items.semb")
+        argv = ["decode", "--tree", str(tmp_path / "tree.json"), "--beam", "5", "--top", "3",
+                "--embeddings", str(tmp_path / "items.semb"), "--queries", str(tmp_path / "items.semb"),
+                "--out", str(tmp_path / "rank.csv")]
+        gc.collect()
+        gc.disable()
+        try:
+            assert cli_run(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

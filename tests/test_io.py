@@ -1,5 +1,8 @@
 import io as stdio
 import json
+import re
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from treeid.cli import run as cli_run
 from treeid.core import EmbeddingMatrix, TreeBuildConfig, validate_tree
 from treeid.metrics import EvalReport
 from treeid.treebuild import build_tree
+
+from conftest import rand_tree
 
 
 def small_matrix():
@@ -202,9 +207,9 @@ def test_read_and_verify_build_one_trie_each(tmp_path, monkeypatch):
     builds = []
     build = core._Trie.build.__func__
 
-    def counting_build(cls, k, paths):
+    def counting_build(cls, k, paths, *length):
         builds.append(k)
-        return build(cls, k, paths)
+        return build(cls, k, paths, *length)
 
     monkeypatch.setattr(core._Trie, "build", classmethod(counting_build))
     tio.read_tree(path)
@@ -228,7 +233,7 @@ BASE = {"format": "treeid-v1", "k": 3, "depth": 2, "n_items": 7, "pad_token": 3,
 
 
 @st.composite
-def tree_documents(draw):
+def tree_documents(draw, separators=None):
     """The valid BASE document with a few random edits, as JSON text."""
     doc = json.loads(json.dumps(BASE))
     for _ in range(draw(st.integers(1, 3))):
@@ -246,7 +251,7 @@ def tree_documents(draw):
                 row[draw(st.integers(0, len(row) - 1))] = draw(JSON_VALUES)
             else:
                 doc["paths"][i] = draw(JSON_VALUES)
-    text = json.dumps(doc)
+    text = json.dumps(doc, separators=separators)
     if draw(st.booleans()) and draw(st.booleans()):
         text = text[: draw(st.integers(0, len(text)))]
     return text
@@ -273,6 +278,100 @@ def test_fuzzed_tree_documents(text, scratch_dir):
     path = scratch_dir / "tree.json"
     path.write_text(text)
     assert cli_run(["verify", "--tree", str(path)]) == (2 if t is None else 0)
+
+
+# canonical texts to edit: BASE, and a tree whose tokens have one to three digits
+WIDE = {"format": "treeid-v1", "k": 100, "depth": 2, "n_items": 150, "pad_token": 100,
+        "paths": [[c, i] for c in range(50) for i in range(2)] + [[c, 100] for c in range(50, 100)]}
+TOKEN_EDITS = ["", "01", "00", "-0", "1.0", "1e0", "true", "1" * 10, "9" * 10, "1" * 11, "1" * 20,
+               str(2**63), str(2**63 - 1)]
+
+
+@st.composite
+def canonical_edits(draw):
+    """A canonical tree text with one targeted edit, or none."""
+    doc = draw(st.sampled_from([BASE, WIDE]))
+    kinds = ["none", "token", "insert", "stray", "separator", "ending", "rows", "ragged", "empty", "header"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "empty":
+        doc = {**doc, **draw(st.sampled_from([{"paths": []}, {"depth": 0}, {"n_items": 0},
+                                                {"paths": [], "n_items": 0},
+                                                {"depth": 0, "paths": [[]] * doc["n_items"]}]))}
+    text = json.dumps(doc, separators=(",", ":")) + "\n"
+    start = text.index('"paths":')
+    if kind == "token":
+        lo, hi = draw(st.sampled_from([m.span() for m in re.finditer("[0-9]+", text[start:])]))
+        text = text[: start + lo] + draw(st.sampled_from(TOKEN_EDITS)) + text[start + hi :]
+    elif kind == "insert":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([" ", "\t", "\r\n"])) + text[at:]
+    elif kind == "stray":  # a digit, or a character that is not ASCII, outside every token
+        gaps = [i for i in range(start, len(text)) if text[i - 1] in "[]," and text[i] in "[],"]
+        at = draw(st.sampled_from(gaps))
+        text = text[:at] + draw(st.sampled_from(["7", "\u00e9", "\ud800"])) + text[at:]
+    elif kind == "separator":  # one bracket or comma of the paths swapped for another
+        at = draw(st.sampled_from([m.start() for m in re.finditer("[][,]", text[start:])])) + start
+        text = text[:at] + draw(st.sampled_from("[],".replace(text[at], ""))) + text[at + 1 :]
+    elif kind == "ending":
+        text = text[:-1] + draw(st.sampled_from(["", "\n\n"]))
+    elif kind == "rows":
+        n = doc["n_items"]
+        text = text.replace(f'"n_items":{n}', f'"n_items":{n + draw(st.sampled_from([-1, 1]))}')
+    elif kind == "ragged":  # one row gains or loses a token
+        at = draw(st.sampled_from([m.start() for m in re.finditer("]", text)][:-1]))
+        cut = text.rindex(",", 0, at) if draw(st.booleans()) else at
+        text = text[:cut] + ("" if cut < at else ",0") + text[at:]
+    elif kind == "header":  # non-ASCII in a value, a key or a harmless extra field
+        text = text.replace(*draw(st.sampled_from(
+            [("treeid", "treeïd"), ('"k":', '"ké":'), ('"paths":', '"note":"é","paths":')]
+        )))
+    return text
+
+
+def assert_same_tree(got, want):
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+def read_outcome(text):
+    try:
+        return tio.read_tree(stdio.StringIO(text))
+    except Exception as e:  # compared by type and message
+        return e
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(tree_documents(separators=(",", ":")), canonical_edits(), canonical_edits()))
+def test_canonical_reader_agrees_with_json_reader(text):
+    """read_tree gives the JSON-only reader's tree, array for array, or its error."""
+    got = read_outcome(text)
+    with mock.patch.object(tio, "_canonical_tree", lambda text: None):
+        want = read_outcome(text)
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+    else:
+        assert_same_tree(got, want)
+
+
+def test_written_trees_take_the_canonical_reader(tmp_path, monkeypatch):
+    """write_tree's text never reaches json.loads, so a drift in its form fails here."""
+    rng = np.random.default_rng(6)
+    trees = [rand_tree(rng, 300, k) for k in (2, 8, 32)]
+    trees.append(core.IdentifierTree.from_paths(100, np.array(WIDE["paths"])))
+
+    def no_json(*args, **kwargs):
+        raise AssertionError("read_tree fell back to json.loads")
+
+    monkeypatch.setattr(tio.json, "loads", no_json)
+    for t in trees:
+        path = tmp_path / "tree.json"
+        tio.write_tree(t, path)
+        assert_same_tree(tio.read_tree(path), core.IdentifierTree.from_paths(t.k, t.paths))
 
 
 class TestReports:
