@@ -282,3 +282,7 @@ def main():
         raise
     except KeyboardInterrupt:
         sys.exit(130)
+
+
+if __name__ == "__main__":
+    main()

@@ -264,7 +264,9 @@ class IdentifierTree:
     lexicographic prefix order) so equal path sets produce identical arenas.
     children[n, tok] is the child of node n on branch ordinal tok, or -1; the
     table is min(k, n_items) wide, since no valid tree uses a larger ordinal.
-    node_item[n] is the item at a leaf and -1 elsewhere.
+    node_item[n] is the item at a leaf and -1 elsewhere. parent is
+    non-decreasing, so a node's descendants fill one contiguous id range per
+    level.
     """
 
     k: int
@@ -326,6 +328,18 @@ class IdentifierTree:
             k, depth, n_items, paths.astype(np.int32), trie.parent, children, node_item,
             leaf_of_item, trie.depth,
         )
+
+
+def _items_below(t: IdentifierTree, node: int) -> np.ndarray:
+    """The items at the leaves under node (node included), ascending."""
+    key = t.parent.dtype.type  # an int64 key would cast all of parent on every search
+    lo, hi, found = node, node + 1, []
+    while lo < hi:
+        items = t.node_item[lo:hi]
+        found.append(items[items >= 0])
+        # parent never decreases, so the children of [lo, hi) are one run of ids
+        lo, hi = t.parent.searchsorted(key(lo)), t.parent.searchsorted(key(hi - 1), side="right")
+    return np.sort(np.concatenate(found))
 
 
 def validate_paths(k: int, depth: int, paths: np.ndarray) -> ValidationResult:

@@ -213,7 +213,8 @@ def read_tree(source) -> IdentifierTree:
         with _opened(source, "r") as f:
             text = f.read()
         doc = _canonical_tree(text) or json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+    # ValueError covers undecodable bytes, malformed JSON and integers of over 4,300 digits
+    except (ValueError, RecursionError) as e:
         raise TreeFormatError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict) or doc.get("format") != TREE_FORMAT:
         raise TreeFormatError(f"expected a {TREE_FORMAT} object")
@@ -281,6 +282,20 @@ def write_ranking(results, sink):
                 w.writerow([qid, rank, item, _fmt(float(score))])
 
 
+def _int_rows(reader, n: int, name: str):
+    """The first n fields of each non-empty CSV row as integers; FileFormatError names the line."""
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < n:
+            raise FileFormatError(f"{name} line {reader.line_num}: {len(row)} fields, need {n}")
+        try:
+            values = [int(tok) for tok in row[:n]]
+        except ValueError as e:
+            raise FileFormatError(f"{name} line {reader.line_num}: {e}") from e
+        yield values
+
+
 def read_ranking(source) -> dict[int, list[int]]:
     """Read a ranking CSV back into query -> ordered item list."""
     per_query: dict[int, list[tuple[int, int]]] = {}
@@ -289,10 +304,7 @@ def read_ranking(source) -> dict[int, list[int]]:
         header = next(reader, None)
         if header is None or header[:3] != ["query", "rank", "item"]:
             raise FileFormatError("ranking CSV must start with header query,rank,item[,score]")
-        for row in reader:
-            if not row:
-                continue
-            q, rank, item = int(row[0]), int(row[1]), int(row[2])
+        for q, rank, item in _int_rows(reader, 3, "ranking CSV"):
             per_query.setdefault(q, []).append((rank, item))
     return {q: [item for _, item in sorted(pairs)] for q, pairs in per_query.items()}
 
@@ -305,8 +317,6 @@ def read_truth(source) -> dict[int, set[int]]:
         header = next(reader, None)
         if header is None or header[:2] != ["query", "item"]:
             raise FileFormatError("truth CSV must start with header query,item")
-        for row in reader:
-            if not row:
-                continue
-            truth.setdefault(int(row[0]), set()).add(int(row[1]))
+        for q, item in _int_rows(reader, 2, "truth CSV"):
+            truth.setdefault(q, set()).add(item)
     return truth

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IdentifierTree
+from .core import IdentifierTree, _items_below
 
 
 @dataclass(frozen=True)
@@ -140,23 +140,29 @@ def triplet_sampler(t: IdentifierTree, target: int, depth: int, seed) -> tuple[i
     negative shares a strictly shorter prefix. Uniform over the eligible items
     on each side given the seed. Raises when either side is empty, which
     includes depth = 0 since no item can share a prefix shorter than zero.
+    The items sharing the prefix are read from the arena, under the target's
+    ancestor at that depth, so a call costs time in their number, not in the
+    catalog's.
     """
     if not 0 <= target < t.n_items:
         raise IndexError(f"item {target} out of range [0, {t.n_items})")
     if not 0 <= depth <= t.depth:
         raise ValueError(f"prefix depth must be in [0, {t.depth}], got {depth}")
-    prefix = t.paths[target, :depth]
-    shares = (t.paths[:, :depth] == prefix).all(axis=1)
-    positives = np.nonzero(shares)[0]
-    positives = positives[positives != target]
-    negatives = np.nonzero(~shares)[0]
+    node = int(t.leaf_of_item[target])
+    for _ in range(t.node_depth[node] - depth):
+        node = int(t.parent[node])
+    # a leaf above depth stays put: its prefix ends in pads, which no other path shares
+    shares = _items_below(t, node)
+    positives = shares[shares != target]
     if positives.size == 0:
         raise ValueError(f"no item shares the depth-{depth} prefix of item {target}")
-    if negatives.size == 0:
+    if shares.size == t.n_items:
         raise ValueError(f"every item shares the depth-{depth} prefix of item {target}")
     rng = np.random.default_rng(seed)
     pos = int(positives[rng.integers(positives.size)])
-    neg = int(negatives[rng.integers(negatives.size)])
+    # the j-th item outside shares is j plus the number of shares below it
+    j = rng.integers(t.n_items - shares.size)
+    neg = int(j + np.searchsorted(shares - np.arange(shares.size), j, side="right"))
     return pos, neg
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -207,3 +212,35 @@ def test_build_tree_at_large_coordinate_scales(tmp_path, capsys, scale):
         )
         assert code == 0, err
         assert invoke(capsys, "verify", "--tree", str(tree))[0] == 0
+
+
+@pytest.mark.parametrize(
+    "ranking, truth",
+    [
+        ("query,rank,item\n0,1,5\n", "query,item\n065\n"),
+        ("query,rank,item\n0,1\n", "query,item\n0,5\n"),
+        ("query,rank,item\n0,one,5\n", "query,item\n0,5\n"),
+        ("query,rank,item\n0,1,5\n", "query,item\n0,5.5\n"),
+    ],
+)
+def test_eval_bad_rows_exit_2(tmp_path, capsys, ranking, truth):
+    (tmp_path / "runs.csv").write_text(ranking)
+    (tmp_path / "truth.csv").write_text(truth)
+    code, _, err = invoke(
+        capsys, "eval", "--runs", str(tmp_path / "runs.csv"), "--truth", str(tmp_path / "truth.csv"),
+        "--out", str(tmp_path / "eval.csv"),
+    )
+    assert code == 2
+    assert "line 2: " in err
+
+
+def test_module_entry_point_runs(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "treeid.cli", "verify", "--tree", str(tmp_path / "missing.json")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -194,6 +194,11 @@ class TestTreeJsonTypes:
         t = tio.read_tree(stdio.StringIO(tree_doc(note="true or false")))
         assert t.paths.tolist() == [[0], [1]]
 
+    def test_overlong_integer_is_a_format_error(self):
+        text = tree_doc(k=0).replace('"k": 0', '"k": ' + "7" * 5000)
+        with pytest.raises(tio.TreeFormatError, match="invalid JSON"):
+            tio.read_tree(stdio.StringIO(text))
+
     def test_huge_token_exits_2(self, tmp_path):
         path = tmp_path / "tree.json"
         path.write_text(tree_doc(paths=[[0], [2**32 + 1]]))
@@ -413,3 +418,16 @@ class TestRankingCsv:
     def test_header_required(self):
         with pytest.raises(tio.FileFormatError):
             tio.read_ranking(stdio.StringIO("0,1,2\n"))
+
+    @pytest.mark.parametrize(
+        "reader, text, line",
+        [
+            (tio.read_truth, "query,item\n0,5\n065\n", 3),
+            (tio.read_truth, "query,item\n0,x\n", 2),
+            (tio.read_ranking, "query,rank,item\n0,1,5\n\n0,1\n", 4),
+            (tio.read_ranking, "query,rank,item\n0,1,5.0\n", 2),
+        ],
+    )
+    def test_bad_rows_name_their_line(self, reader, text, line):
+        with pytest.raises(tio.FileFormatError, match=f" line {line}: "):
+            reader(stdio.StringIO(text))

@@ -1,7 +1,13 @@
+import dataclasses
+import io as stdio
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treeid.core import TreeBuildConfig
+from treeid import io as tio
+from treeid.core import TreeBuildConfig, _items_below
 from treeid.objectives import (
     LossWeights,
     alignment_loss,
@@ -12,7 +18,7 @@ from treeid.objectives import (
 )
 from treeid.treebuild import build_tree
 
-from conftest import central_diff, rel_err
+from conftest import central_diff, rand_tree, rel_err
 
 
 class TestGenerationLoss:
@@ -188,6 +194,86 @@ class TestTripletSampler:
     def test_deterministic(self):
         t = self.two_blob_tree()
         assert triplet_sampler(t, 2, 1, seed=9) == triplet_sampler(t, 2, 1, seed=9)
+
+
+def scan_triplet_sampler(t, target: int, depth: int, seed) -> tuple[int, int]:
+    """The sampler as a scan of every path: the reference the arena walk must match."""
+    if not 0 <= target < t.n_items:
+        raise IndexError(f"item {target} out of range [0, {t.n_items})")
+    if not 0 <= depth <= t.depth:
+        raise ValueError(f"prefix depth must be in [0, {t.depth}], got {depth}")
+    prefix = t.paths[target, :depth]
+    shares = (t.paths[:, :depth] == prefix).all(axis=1)
+    positives = np.nonzero(shares)[0]
+    positives = positives[positives != target]
+    negatives = np.nonzero(~shares)[0]
+    if positives.size == 0:
+        raise ValueError(f"no item shares the depth-{depth} prefix of item {target}")
+    if negatives.size == 0:
+        raise ValueError(f"every item shares the depth-{depth} prefix of item {target}")
+    rng = np.random.default_rng(seed)
+    pos = int(positives[rng.integers(positives.size)])
+    neg = int(negatives[rng.integers(negatives.size)])
+    return pos, neg
+
+
+def outcome(sampler, *args):
+    """A sampler's result, or the type and message of what it raised."""
+    try:
+        return sampler(*args)
+    except (IndexError, ValueError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.sampled_from([2, 3, 8]),
+    n=st.integers(2, 300),
+    tree_seed=st.integers(0, 2**31 - 1),
+    target=st.integers(-2, 301),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_sampler_matches_the_path_scan(k, n, tree_seed, target, seed):
+    t = rand_tree(np.random.default_rng(tree_seed), n, k)
+    target = min(target, n + 1)
+    for depth in range(-1, t.depth + 2):
+        want = outcome(scan_triplet_sampler, t, target, depth, seed)
+        assert outcome(triplet_sampler, t, target, depth, seed) == want
+
+
+def mixed_depth_trees():
+    """Built trees whose leaves sit at several depths."""
+    rng = np.random.default_rng(11)
+    return [rand_tree(rng, n, k) for k, n in ((2, 21), (3, 10), (3, 97), (8, 70))]
+
+
+def read_back(t):
+    buf = stdio.StringIO()
+    tio.write_tree(t, buf)
+    return tio.read_tree(stdio.StringIO(buf.getvalue()))
+
+
+def test_sampler_reads_the_arena_not_the_paths():
+    for t in mixed_depth_trees():
+        blind = dataclasses.replace(t, paths=np.full_like(t.paths, -1))
+        for target in range(t.n_items):
+            for depth in range(t.depth + 1):
+                want = outcome(triplet_sampler, t, target, depth, 5)
+                assert outcome(triplet_sampler, blind, target, depth, 5) == want
+
+
+def test_items_below_every_node():
+    built = mixed_depth_trees()
+    for t in built + [read_back(t) for t in built]:
+        assert len(set(t.node_depth[t.leaf_of_item].tolist())) > 1
+        for v in range(t.n_nodes):
+            prefix, u = [], v
+            while u:
+                prefix.append(int(np.flatnonzero(t.children[t.parent[u]] == u)[0]))
+                u = t.parent[u]
+            d = len(prefix)
+            want = np.flatnonzero((t.paths[:, :d] == prefix[::-1]).all(axis=1))
+            assert np.array_equal(_items_below(t, v), want)
 
 
 class TestTotalLoss:
