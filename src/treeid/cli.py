@@ -1,6 +1,7 @@
 """Command-line entry point wiring the library into reproducible workflows.
 
-Exit codes: 0 success, 1 usage error, 2 data or validation error. Reruns with
+Each subparser binds its handler with set_defaults, and run calls it. Exit
+codes: 0 success, 1 usage error, 2 data or validation error. Reruns with
 the same arguments, input files, and seed produce byte-identical output files.
 No command starts worker threads of its own. build-tree, decode and bench
 accept and ignore --threads, and TREEID_THREADS has no effect either; both
@@ -15,8 +16,8 @@ from . import io as tio
 from .core import TreeBuildConfig
 from .decode import BeamConfig, beam_search_batch, dot_scorer
 from .metrics import evaluate_run
-from .mincostflow import CostOverflowError, InfeasibleBoundsError
-from .treebuild import InvalidEmbeddingsError, build_tree, node_embeddings
+from .mincostflow import CostOverflowError
+from .treebuild import build_tree, node_embeddings
 
 
 _DEFAULTS = TreeBuildConfig(k=8)  # the build options' defaults
@@ -61,6 +62,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--format", choices=("bin", "tsv"), default="bin")
     g.add_argument("--out", required=True)
+    g.set_defaults(handler=_cmd_gen_synth)
 
     b = sub.add_parser("build-tree", help="build an identifier tree from embeddings")
     b.add_argument("--embeddings", required=True)
@@ -70,9 +72,11 @@ def _build_parser() -> _Parser:
     b.add_argument("--outer-iters", type=int, default=_DEFAULTS.outer_max_iters)
     add_threads(b)
     b.add_argument("--out", required=True)
+    b.set_defaults(handler=_cmd_build_tree)
 
     v = sub.add_parser("verify", help="validate a serialized tree")
     v.add_argument("--tree", required=True)
+    v.set_defaults(handler=_cmd_verify)
 
     d = sub.add_parser("decode", help="beam-search retrieval for query vectors")
     d.add_argument("--tree", required=True)
@@ -82,12 +86,14 @@ def _build_parser() -> _Parser:
     d.add_argument("--top", type=int, default=20)
     add_threads(d)
     d.add_argument("--out", required=True)
+    d.set_defaults(handler=_cmd_decode)
 
     e = sub.add_parser("eval", help="score a ranking CSV against a truth CSV")
     e.add_argument("--runs", required=True)
     e.add_argument("--truth", required=True)
     e.add_argument("--cutoffs", default="20,50")
     e.add_argument("--out", required=True)
+    e.set_defaults(handler=_cmd_eval)
 
     bn = sub.add_parser("bench", help="construction-time benchmarks")
     bsub = bn.add_subparsers(dest="bench_command", required=True)
@@ -108,19 +114,16 @@ def _build_parser() -> _Parser:
     bs.add_argument("--repeats", type=int, default=3)
     bs.add_argument("--no-warmup", action="store_true")
     add_bench_common(bs)
+    bs.set_defaults(handler=_cmd_bench_scaling)
 
     bc = bsub.add_parser("compare", help="all methods on one dataset")
     bc.add_argument("--n", type=int, required=True)
     bc.add_argument("--repeats", type=int, default=1)
     bc.add_argument("--warmup", action="store_true")
     add_bench_common(bc)
+    bc.set_defaults(handler=_cmd_bench_compare)
 
     return p
-
-
-# built once: argparse leaves reference cycles behind each add_argument, and
-# parsing does not change the parser
-_PARSER = _build_parser()
 
 
 def _int_list(text: str) -> list[int]:
@@ -168,13 +171,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    if args.beam < 1 or not 1 <= args.top <= args.beam:
-        raise _UsageError("need --beam >= 1 and 1 <= --top <= --beam")
+    try:
+        cfg = BeamConfig(beam_width=args.beam, top_n=args.top)
+    except ValueError as e:
+        raise _UsageError(str(e)) from e
     tree = tio.read_tree(args.tree)
     m = _read_embeddings_any(args.embeddings)
     queries = _read_embeddings_any(args.queries)
     scorer = dot_scorer(node_embeddings(tree, m), tree)
-    cfg = BeamConfig(beam_width=args.beam, top_n=args.top)
     results = beam_search_batch(tree, scorer, queries.as_array(), cfg)
     tio.write_ranking(results, args.out)
     return 0
@@ -239,13 +243,9 @@ def _cmd_bench_compare(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen-synth": _cmd_gen_synth,
-    "build-tree": _cmd_build_tree,
-    "verify": _cmd_verify,
-    "decode": _cmd_decode,
-    "eval": _cmd_eval,
-}
+# built once: argparse leaves reference cycles behind each add_argument, and
+# parsing does not change the parser
+_PARSER = _build_parser()
 
 
 def run(argv) -> int:
@@ -255,22 +255,12 @@ def run(argv) -> int:
             args = _PARSER.parse_args(argv)
         except SystemExit as e:  # argparse --help
             return 0 if e.code in (0, None) else 1
-        if args.command == "bench":
-            handler = _cmd_bench_scaling if args.bench_command == "scaling" else _cmd_bench_compare
-        else:
-            handler = _COMMANDS[args.command]
-        return handler(args)
+        return args.handler(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (
-        tio.FileFormatError,
-        InvalidEmbeddingsError,
-        InfeasibleBoundsError,
-        CostOverflowError,
-        ValueError,
-        OSError,
-    ) as e:
+    # FileFormatError, InvalidEmbeddingsError and InfeasibleBoundsError are ValueErrors
+    except (ValueError, CostOverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -278,8 +268,6 @@ def run(argv) -> int:
 def main():
     try:
         sys.exit(run(sys.argv[1:]))
-    except SystemExit:
-        raise
     except KeyboardInterrupt:
         sys.exit(130)
 

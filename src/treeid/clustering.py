@@ -1,8 +1,8 @@
 """Centroid computation plus the exact and greedy capacity-respecting assignments.
 
 All operations are pure functions of (points, config, seed) and single
-threaded, so results never depend on a worker count. Points are accepted as
-an EmbeddingMatrix or any (n, d) array and promoted to float64 for the math.
+threaded, so results never depend on a worker count. Points are (n, d)
+arrays, promoted to float64 for the math.
 
 kmeanspp_init, lloyd, greedy_assign and cluster_level also take a (G, n, d)
 stack of G equal-size groups and treat every group exactly as a separate
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .core import CapacityBounds, ClusterAssignment, EmbeddingMatrix, TreeBuildConfig, balanced_bounds
+from .core import CapacityBounds, ClusterAssignment, TreeBuildConfig, balanced_bounds
 from .mincostflow import CostOverflowError, InfeasibleBoundsError, TransportInstance, solve_balanced_transport
 
 log = logging.getLogger(__name__)
@@ -45,8 +45,6 @@ def reset_distance_eval_count():
 
 
 def _as_points(X) -> np.ndarray:
-    if isinstance(X, EmbeddingMatrix):
-        return X.as_array().astype(np.float64)
     pts = np.asarray(X, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError(f"points must be 2-D, got ndim={pts.ndim}")
@@ -55,7 +53,7 @@ def _as_points(X) -> np.ndarray:
 
 def _as_stack(X) -> tuple[np.ndarray, bool]:
     """(G, n, d) float64 points, and whether X was a single (n, d) group."""
-    if isinstance(X, EmbeddingMatrix) or np.ndim(X) != 3:
+    if np.ndim(X) != 3:
         return _as_points(X)[None], True
     return np.asarray(X, dtype=np.float64), False
 
@@ -146,13 +144,8 @@ def kmeanspp_init(X, k: int, seed, pt_norms: np.ndarray | None = None) -> np.nda
 
 
 def lloyd(
-    X,
-    init: np.ndarray,
-    max_iters: int = 100,
-    tol: float = 1e-4,
-    return_trace: bool = False,
-    pt_norms: np.ndarray | None = None,
-):
+    X, init: np.ndarray, max_iters: int = 100, tol: float = 1e-4, pt_norms: np.ndarray | None = None
+) -> np.ndarray:
     """Standard k-means iteration from the given starting centroids.
 
     Alternates nearest-centroid assignment (ties to the lower index) with the
@@ -162,11 +155,10 @@ def lloyd(
     unit ball: there a move must fall below tol itself. A cluster that
     empties is reseeded from the point currently farthest from its own
     centroid; reseeds are logged at debug level since they can bump the
-    otherwise non-increasing SSE. With return_trace=True also returns the
-    per-iteration SSE list.
+    otherwise non-increasing SSE. Returns the centroids.
 
-    For a (G, n, d) stack, init is (G, k, d), each group stops on its own,
-    and the trace is one list per group. pt_norms is as in pairwise_sqdist.
+    For a (G, n, d) stack, init is (G, k, d), the result is (G, k, d), and
+    each group stops on its own. pt_norms is as in pairwise_sqdist.
     """
     pts, single = _as_stack(X)
     cents = np.array(init, dtype=np.float64, copy=True)
@@ -178,7 +170,6 @@ def lloyd(
         raise ValueError(f"more centroids ({k}) than points ({n})")
     norms = _norms(pts, pt_norms)
     scale = np.maximum(1.0, np.sqrt(norms.max(axis=1)))
-    traces = [[] for _ in range(groups)]
 
     # the groups still iterating, compacted whenever some of them stop
     live = np.arange(groups)
@@ -192,11 +183,8 @@ def lloyd(
         per_group = labels + k * np.arange(live.size)[:, None]
         sizes = np.bincount(per_group.ravel(), minlength=live.size * k).reshape(live.size, k)
         reseed = ~sizes.all(axis=1)
-        if return_trace or reseed.any():
+        if reseed.any():
             own = np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0]
-            if return_trace:
-                for g, sse in zip(live.tolist(), own.sum(axis=1).tolist()):
-                    traces[g].append(sse)
             for g, j in np.argwhere(sizes == 0).tolist():
                 idx = int(np.argmax(own[g]))
                 log.debug("lloyd: reseeding empty cluster %d from point %d", j, idx)
@@ -219,10 +207,7 @@ def lloyd(
             if not live.size:
                 break
     cents[live] = c
-
-    if single:
-        cents, traces = cents[0], traces[0]
-    return (cents, traces) if return_trace else cents
+    return cents[0] if single else cents
 
 
 def _discretize(d2: np.ndarray) -> np.ndarray:

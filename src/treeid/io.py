@@ -73,6 +73,23 @@ def _opened(sink, mode):
         yield sink
 
 
+@contextmanager
+def _opened_text(source, error, kind):
+    """_opened(source, "r"); undecodable bytes raise error naming kind and, for a path, the line."""
+    try:
+        with _opened(source, "r") as f:
+            yield f
+    except UnicodeDecodeError as e:
+        where = ""
+        if isinstance(source, (str, Path)):  # a stream's error offset is within its last chunk
+            raw = Path(source).read_bytes()
+            try:
+                raw.decode(e.encoding)
+            except UnicodeDecodeError as first:
+                where = " line %d" % (raw.count(b"\n", 0, first.start) + 1)
+        raise error(f"{kind}{where}: not {e.encoding} text: {e.reason}") from e
+
+
 def write_embeddings(m: EmbeddingMatrix, sink):
     """Write the binary embedding format to a path or binary file object."""
     arr = m.as_array()
@@ -107,12 +124,12 @@ def read_embeddings(source) -> EmbeddingMatrix:
 def read_embeddings_tsv(source) -> EmbeddingMatrix:
     """Read a text table: per line an item ordinal then d reals, comma or whitespace separated.
 
-    The leading ordinal is ignored; rows keep file order. Ragged rows or
-    unparsable numbers raise TsvFormatError naming the line.
+    The leading ordinal is ignored; rows keep file order. Ragged rows, bad bytes,
+    and numbers unparsable or not finite as float32 raise TsvFormatError naming the line.
     """
-    rows = []
+    rows, lines = [], []
     dim = None
-    with _opened(source, "r") as f:
+    with _opened_text(source, TsvFormatError, "TSV embeddings") as f:
         for lineno, line in enumerate(f, start=1):
             fields = [tok for tok in line.replace(",", " ").split() if tok]
             if not fields:
@@ -130,9 +147,15 @@ def read_embeddings_tsv(source) -> EmbeddingMatrix:
                     f"line {lineno}: {len(vals)} values, expected {dim} like earlier rows"
                 )
             rows.append(vals)
+            lines.append(lineno)
     if not rows:
         raise TsvFormatError("no data rows")
-    return EmbeddingMatrix.from_array(np.asarray(rows, dtype=np.float32))
+    with np.errstate(over="ignore"):  # beyond float32's range becomes inf, rejected below
+        arr = np.asarray(rows, dtype=np.float32)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise TsvFormatError(f"line {lines[int(np.argmin(finite))]}: non-finite value")
+    return EmbeddingMatrix.from_array(arr)
 
 
 def write_embeddings_tsv(m: EmbeddingMatrix, sink):
@@ -299,7 +322,7 @@ def _int_rows(reader, n: int, name: str):
 def read_ranking(source) -> dict[int, list[int]]:
     """Read a ranking CSV back into query -> ordered item list."""
     per_query: dict[int, list[tuple[int, int]]] = {}
-    with _opened(source, "r") as f:
+    with _opened_text(source, FileFormatError, "ranking CSV") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None or header[:3] != ["query", "rank", "item"]:
@@ -312,7 +335,7 @@ def read_ranking(source) -> dict[int, list[int]]:
 def read_truth(source) -> dict[int, set[int]]:
     """Read a truth CSV (header query,item) into query -> relevant item set."""
     truth: dict[int, set[int]] = {}
-    with _opened(source, "r") as f:
+    with _opened_text(source, FileFormatError, "truth CSV") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None or header[:2] != ["query", "item"]:

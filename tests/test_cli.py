@@ -244,3 +244,53 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.fixture
+def served(workspace, capsys):
+    """A workspace with a built tree and a ranking of the catalog's first ten items."""
+    tmp, emb = workspace
+    assert invoke(capsys, "build-tree", "--embeddings", str(emb), "--k", "4", "--out", str(tmp / "tree.json"))[0] == 0
+    m = tio.read_embeddings(str(emb))
+    tio.write_embeddings_tsv(EmbeddingMatrix.from_array(m.as_array()[:10]), str(tmp / "q.tsv"))
+    assert invoke(
+        capsys, "decode", "--tree", str(tmp / "tree.json"), "--embeddings", str(emb),
+        "--queries", str(tmp / "q.tsv"), "--beam", "5", "--top", "5", "--out", str(tmp / "rank.csv"),
+    )[0] == 0
+    (tmp / "truth.csv").write_text("query,item\n" + "".join(f"{i},{i}\n" for i in range(10)))
+    return tmp, emb
+
+
+# (command, the option whose file is corrupted, the other options, the edit)
+CORRUPT_INPUTS = [
+    ("build-tree", "--embeddings", ["--out", "out.json"], edit) for edit in (b"\xff", b"nan", b"1e39")
+] + [
+    ("decode", "--queries", ["--tree", "tree.json", "--embeddings", "items.semb", "--out", "out.csv"], edit)
+    for edit in (b"\xff", b"nan", b"1e39")
+] + [
+    ("eval", "--runs", ["--truth", "truth.csv", "--out", "out.csv"], b"\xff"),
+    ("verify", "--tree", [], b"\xff"),
+]
+
+
+@pytest.mark.filterwarnings("error")  # 1e39 must not overflow with a RuntimeWarning
+@pytest.mark.parametrize(
+    "command, option, rest, edit", CORRUPT_INPUTS, ids=[f"{c[0]}-{c[3]!r}" for c in CORRUPT_INPUTS]
+)
+def test_undecodable_and_non_finite_inputs_exit_2(served, capsys, monkeypatch, command, option, rest, edit):
+    tmp, _ = served
+    monkeypatch.chdir(tmp)
+    good = {"--embeddings": "q.tsv", "--queries": "q.tsv", "--runs": "rank.csv", "--tree": "tree.json"}[option]
+    text = (tmp / good).read_bytes()
+    if command == "verify":  # the canonical tree is one line: corrupt its first token
+        bad = text.replace(b"[[", b"[[" + edit, 1)
+    else:  # append to line 2, or replace its last value
+        end = text.index(b"\n", text.index(b"\n") + 1)
+        start = end if edit == b"\xff" else text.rindex(b",", 0, end) + 1
+        bad = text[:start] + edit + text[end:]
+    (tmp / "bad").write_bytes(bad)
+    code, _, err = invoke(capsys, command, option, "bad", *rest)
+    assert code == 2, err
+    assert err.startswith("error: ")
+    if command != "verify":
+        assert "line 2: " in err, err

@@ -10,6 +10,7 @@ from treeid.clustering import (
     greedy_assign,
     kmeanspp_init,
     lloyd,
+    pairwise_sqdist,
     update_centroids,
 )
 from treeid.core import CapacityBounds, TreeBuildConfig, balanced_bounds
@@ -56,14 +57,18 @@ class TestLloyd:
 
     def test_k_equals_n_zero_sse(self):
         pts = np.random.default_rng(2).normal(size=(5, 2))
-        cents, trace = lloyd(pts, pts.copy(), return_trace=True)
+        cents = lloyd(pts, pts.copy())
         assert np.allclose(cents, pts)
-        assert trace[-1] == pytest.approx(0.0, abs=1e-12)
+        assert pairwise_sqdist(pts, cents).min(axis=-1).sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_sse_trace_non_increasing(self):
         pts = np.random.default_rng(3).normal(size=(12, 2))
         init = kmeanspp_init(pts, 2, seed=0)
-        _, trace = lloyd(pts, init, max_iters=30, tol=1e-12, return_trace=True)
+        # the SSE after i iterations, for i = 0 (the initial centroids) to 30
+        trace = [
+            pairwise_sqdist(pts, lloyd(pts, init, max_iters=i, tol=1e-12)).min(axis=-1).sum()
+            for i in range(31)
+        ]
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
 
@@ -325,12 +330,13 @@ def test_stacked_init_and_lloyd_equal_separate_calls():
     rng = np.random.default_rng(17)
     pts = np.stack([rng.normal(size=(30, 2)), np.zeros((30, 2)), np.repeat(rng.normal(size=(3, 2)), 10, axis=0)])
     cents = kmeanspp_init(pts, 4, [1, 2, 3])
-    final, traces = lloyd(pts, cents, max_iters=15, return_trace=True)
     for g, seed in enumerate([1, 2, 3]):
         assert np.array_equal(cents[g], kmeanspp_init(pts[g], 4, seed))
-        one, trace = lloyd(pts[g], cents[g], max_iters=15, return_trace=True)
-        assert np.array_equal(final[g], one)
-        assert traces[g] == trace
+    # every intermediate iterate, not only the last, matches the single-group call
+    for i in range(16):
+        stacked = lloyd(pts, cents, max_iters=i)
+        for g in range(3):
+            assert np.array_equal(stacked[g], lloyd(pts[g], cents[g], max_iters=i)), (i, g)
 
 
 def test_stack_needs_one_seed_per_group():

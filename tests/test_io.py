@@ -1,6 +1,7 @@
 import io as stdio
 import json
 import re
+import warnings
 from dataclasses import fields
 from unittest import mock
 
@@ -87,6 +88,12 @@ class TestTsvEmbeddings:
     def test_unparsable_number_names_line(self):
         with pytest.raises(tio.TsvFormatError, match="line 1"):
             tio.read_embeddings_tsv(stdio.StringIO("0\tabc,2.0\n"))
+
+    @pytest.mark.filterwarnings("error")  # 1e39 must not overflow with a RuntimeWarning
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e39", "-1e39"])
+    def test_non_finite_value_names_line(self, value):
+        with pytest.raises(tio.TsvFormatError, match="^line 3: non-finite value$"):
+            tio.read_embeddings_tsv(stdio.StringIO(f"0\t1.0,2.0\n\n1\t3.0,{value}\n"))
 
     def test_cross_format_equality(self):
         rng = np.random.default_rng(1)
@@ -431,3 +438,70 @@ class TestRankingCsv:
     def test_bad_rows_name_their_line(self, reader, text, line):
         with pytest.raises(tio.FileFormatError, match=f" line {line}: "):
             reader(stdio.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "reader, text, error, message",
+    [
+        (tio.read_embeddings_tsv, b"0\t1,2\n1\t\xff,2\n", tio.TsvFormatError, "TSV embeddings line 2: "),
+        (tio.read_ranking, b"query,rank,item\n0,1,5\n\n0,2,6\xff\n", tio.FileFormatError, "ranking CSV line 4: "),
+        (tio.read_truth, b"query,item\n0,\xfe\n", tio.FileFormatError, "truth CSV line 2: "),
+    ],
+    ids=["tsv", "ranking", "truth"],
+)
+def test_undecodable_bytes_name_kind_and_line(tmp_path, reader, text, error, message):
+    path = tmp_path / "input"
+    path.write_bytes(text)
+    with pytest.raises(error, match="^" + message):
+        reader(path)
+    with open(path) as f, pytest.raises(error):  # a stream names no line, but is typed too
+        reader(f)
+
+
+def _binary_seed() -> bytes:
+    buf = stdio.BytesIO()
+    tio.write_embeddings(small_matrix(), buf)
+    return buf.getvalue()
+
+
+# one valid input per reader, to mutate
+READER_SEEDS = [
+    (tio.read_embeddings, _binary_seed()),
+    (tio.read_embeddings_tsv, b"0\t1.5,2\n1\t-3,4e-2\n2\t5,6\n"),
+    (tio.read_tree, json.dumps(BASE, separators=(",", ":")).encode() + b"\n"),
+    (tio.read_ranking, b"query,rank,item,score\n0,1,4,1.5\n0,2,2,0.25\n1,1,7,-1\n"),
+    (tio.read_truth, b"query,item\n0,5\n0,6\n2,1\n"),
+]
+FUZZ_TOKENS = [b"\xff", b"\x00", b"nan", b"1" * 5000, b",", b"\t", b"\n", b"\r", b"-", b'"', b"[", b"]"]
+
+
+@st.composite
+def mutated(draw, seed: bytes):
+    """seed with one to three byte deletions, insertions or substitutions."""
+    data = bytearray(seed)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["delete", "insert", "substitute"]))
+        if kind == "delete":
+            del data[at : at + draw(st.integers(1, 4))]
+        else:
+            token = draw(st.sampled_from(FUZZ_TOKENS) | st.binary(min_size=1, max_size=1))
+            data[at : at + (kind == "substitute")] = token
+    return bytes(data)
+
+
+@pytest.mark.parametrize("reader, seed", READER_SEEDS, ids=[r.__name__ for r, _ in READER_SEEDS])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_inputs_raise_only_format_errors(reader, seed, data, scratch_dir):
+    """Whatever the bytes, a reader returns or raises a FileFormatError, with no warning."""
+    path = scratch_dir / f"mutated-{reader.__name__}"
+    path.write_bytes(data.draw(mutated(seed)))
+    # -W error for the read alone: a test-wide filter would also catch the
+    # test tools' own deprecation warnings while they report a failure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            reader(path)
+        except tio.FileFormatError:
+            pass
