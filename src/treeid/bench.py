@@ -26,8 +26,10 @@ class BlobSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_blobs > self.n_items:
-            raise ValueError(f"n_blobs {self.n_blobs} exceeds n_items {self.n_items}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if not 1 <= self.n_blobs <= self.n_items:
+            raise ValueError(f"n_blobs must be in [1, n_items={self.n_items}], got {self.n_blobs}")
         if not self.blob_spread > 0:
             raise ValueError(f"blob_spread must be > 0, got {self.blob_spread}")
 
@@ -74,19 +76,17 @@ def time_builds(
     """Build a tree per (size, method) cell and record wall seconds and SSE.
 
     sizes must be ascending. Each cell uses a fixed seed: the blob seed for
-    the data and cfg.seed for the build.
+    the data and cfg.seed for the build. An unknown method fails
+    TreeBuildConfig's check before any build runs.
     """
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise ValueError("sizes must be ascending")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
+    configs = [replace(cfg, method=m) for m in methods]
     rows = []
     for n in sizes:
         X = gen_blobs(replace(base_spec, n_items=n))
-        for m in methods:
-            method_cfg = replace(cfg, method=m)
+        for method_cfg in configs:
             if warmup:
                 build_tree_with_stats(X, method_cfg)
             times = []
@@ -95,7 +95,7 @@ def time_builds(
                 _, stats = build_tree_with_stats(X, method_cfg)
                 times.append(time.perf_counter() - t0)
             seconds = float(np.median(times))
-            rows.append(BenchRow(m, n, X.dim, cfg.k, cfg.seed, seconds, stats.total_sse))
+            rows.append(BenchRow(method_cfg.method, n, X.dim, cfg.k, cfg.seed, seconds, stats.total_sse))
     return rows
 
 

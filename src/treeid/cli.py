@@ -1,8 +1,10 @@
 """Command-line entry point wiring the library into reproducible workflows.
 
 Each subparser binds its handler with set_defaults, and run calls it. Exit
-codes: 0 success, 1 usage error, 2 data or validation error. Reruns with
-the same arguments, input files, and seed produce byte-identical output files.
+codes: 0 success, 1 usage error (a malformed command line, or option values
+that TreeBuildConfig, BeamConfig or BlobSpec rejects), 2 data or validation
+error. Reruns with the same arguments, input files, and seed produce
+byte-identical output files.
 No command starts worker threads of its own. build-tree, decode and bench
 accept and ignore --threads, and TREEID_THREADS has no effect either; both
 stay accepted so that existing scripts keep working.
@@ -13,7 +15,7 @@ import sys
 
 from . import bench as bench_mod
 from . import io as tio
-from .core import TreeBuildConfig
+from .core import METHODS, TreeBuildConfig
 from .decode import BeamConfig, beam_search_batch, dot_scorer
 from .metrics import evaluate_run
 from .mincostflow import CostOverflowError
@@ -66,7 +68,7 @@ def _build_parser() -> _Parser:
 
     b = sub.add_parser("build-tree", help="build an identifier tree from embeddings")
     b.add_argument("--embeddings", required=True)
-    b.add_argument("--method", choices=bench_mod.METHODS, default=_DEFAULTS.method)
+    b.add_argument("--method", choices=METHODS, default=_DEFAULTS.method)
     add_build_common(b)
     b.add_argument("--lloyd-tol", type=float, default=_DEFAULTS.lloyd_tol)
     b.add_argument("--outer-iters", type=int, default=_DEFAULTS.outer_max_iters)
@@ -110,7 +112,7 @@ def _build_parser() -> _Parser:
 
     bs = bsub.add_parser("scaling", help="build times across sizes")
     bs.add_argument("--sizes", required=True, help="ascending, e.g. 1000,4000")
-    bs.add_argument("--methods", default="constrained,greedy,hybrid")
+    bs.add_argument("--methods", default=",".join(METHODS))
     bs.add_argument("--repeats", type=int, default=3)
     bs.add_argument("--no-warmup", action="store_true")
     add_bench_common(bs)
@@ -126,11 +128,22 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _int_list(text: str) -> list[int]:
+def _int_list(text: str, option: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as e:
         raise _UsageError(f"expected a comma-separated integer list, got {text!r}") from e
+    if not values:
+        raise _UsageError(f"{option} must name at least one integer")
+    return values
+
+
+def _checked(config_type, **fields):
+    """config_type(**fields), its ValueError turned into a usage error."""
+    try:
+        return config_type(**fields)
+    except ValueError as e:
+        raise _UsageError(str(e)) from e
 
 
 def _tree_config(args) -> TreeBuildConfig:
@@ -138,16 +151,12 @@ def _tree_config(args) -> TreeBuildConfig:
                 lloyd_max_iters=args.lloyd_iters, outer_max_iters=args.outer_iters)
     if args.command == "build-tree":  # bench picks each row's method and keeps the default tol
         opts.update(method=args.method, lloyd_tol=args.lloyd_tol)
-    try:
-        return TreeBuildConfig(**opts)
-    except ValueError as e:
-        raise _UsageError(str(e)) from e
+    return _checked(TreeBuildConfig, **opts)
 
 
 def _cmd_gen_synth(args) -> int:
-    spec = bench_mod.BlobSpec(
-        n_items=args.n, dim=args.dim, n_blobs=args.blobs, blob_spread=args.spread, seed=args.seed
-    )
+    spec = _checked(bench_mod.BlobSpec, n_items=args.n, dim=args.dim, n_blobs=args.blobs,
+                    blob_spread=args.spread, seed=args.seed)
     m = bench_mod.gen_blobs(spec)
     if args.format == "bin":
         tio.write_embeddings(m, args.out)
@@ -171,10 +180,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    try:
-        cfg = BeamConfig(beam_width=args.beam, top_n=args.top)
-    except ValueError as e:
-        raise _UsageError(str(e)) from e
+    cfg = _checked(BeamConfig, beam_width=args.beam, top_n=args.top)
     tree = tio.read_tree(args.tree)
     m = _read_embeddings_any(args.embeddings)
     queries = _read_embeddings_any(args.queries)
@@ -185,9 +191,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cutoffs = _int_list(args.cutoffs)
-    if not cutoffs:
-        raise _UsageError("--cutoffs must name at least one cutoff")
+    cutoffs = _int_list(args.cutoffs, "--cutoffs")
     runs = tio.read_ranking(args.runs)
     truth = tio.read_truth(args.truth)
     users = []
@@ -201,17 +205,12 @@ def _cmd_eval(args) -> int:
 
 
 def _blob_spec(args, n_items: int) -> bench_mod.BlobSpec:
-    return bench_mod.BlobSpec(
-        n_items=n_items,
-        dim=args.dim,
-        n_blobs=args.blobs,
-        blob_spread=args.spread,
-        seed=args.data_seed,
-    )
+    return _checked(bench_mod.BlobSpec, n_items=n_items, dim=args.dim, n_blobs=args.blobs,
+                    blob_spread=args.spread, seed=args.data_seed)
 
 
 def _cmd_bench_scaling(args) -> int:
-    sizes = _int_list(args.sizes)
+    sizes = _int_list(args.sizes, "--sizes")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     cfg = _tree_config(args)
     rows = bench_mod.time_builds(
@@ -235,7 +234,7 @@ def _cmd_bench_compare(args) -> int:
         repeats=args.repeats,
         warmup=args.warmup,
     )
-    tio.write_bench_rows([cmp.rows[m] for m in bench_mod.METHODS], args.out)
+    tio.write_bench_rows([cmp.rows[m] for m in METHODS], args.out)
     for m in ("greedy", "hybrid"):
         print(
             f"{m}/constrained: time {cmp.time_ratio(m):.4f}, sse {cmp.sse_ratio(m):.6f}"

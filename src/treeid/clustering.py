@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .core import CapacityBounds, ClusterAssignment, TreeBuildConfig, balanced_bounds
-from .mincostflow import CostOverflowError, InfeasibleBoundsError, TransportInstance, solve_balanced_transport
+from .mincostflow import COST_BUDGET, CostOverflowError, TransportInstance, check_bounds, solve_balanced_transport
 
 log = logging.getLogger(__name__)
 
@@ -35,13 +35,8 @@ _dist_evals = 0
 
 
 def distance_eval_count() -> int:
-    """Point-to-centroid distance evaluations since the last reset (instrumentation)."""
+    """Point-to-centroid distance evaluations since import (instrumentation)."""
     return _dist_evals
-
-
-def reset_distance_eval_count():
-    global _dist_evals
-    _dist_evals = 0
 
 
 def _as_points(X) -> np.ndarray:
@@ -214,15 +209,15 @@ def _discretize(d2: np.ndarray) -> np.ndarray:
     """Round d2 * scale to the solver's integer costs.
 
     scale is COST_SCALE unless N times the largest cost would overflow the
-    solver's 2^62 budget; then it is the largest power of two that fits, so
+    solver's COST_BUDGET; then it is the largest power of two that fits, so
     large coordinates lose low-order digits instead of failing.
     """
     top = float(d2.max(initial=0.0))
     if not np.isfinite(top):
         raise CostOverflowError("squared distances are not finite")
-    # top < 2^e: top * 2^(63-e) stays finite, and no larger scale fits in 2^62
+    # top < 2^e: top * 2^(63-e) stays finite, and no larger scale fits the budget
     scale = math.ldexp(1.0, min(COST_SCALE.bit_length() - 1, 63 - math.frexp(top)[1]))
-    while d2.shape[0] * round(top * scale) > 1 << 62:
+    while d2.shape[0] * round(top * scale) > COST_BUDGET:
         scale /= 2.0
     return np.rint(d2 * scale).astype(np.int64)
 
@@ -279,10 +274,7 @@ def greedy_assign(
     groups, n, _ = pts.shape
     k = cents.shape[1]
     m, big = bounds.min_size, bounds.max_size
-    if k * big < n:
-        raise InfeasibleBoundsError(f"k*max_size = {k * big} < N = {n}")
-    if k * m > n:
-        raise InfeasibleBoundsError(f"k*min_size = {k * m} > N = {n}")
+    check_bounds(n, k, bounds)
 
     d2 = pairwise_sqdist(pts, cents, _norms(pts, pt_norms))
     assign, loads = _fill_in_order(np.argsort(d2, axis=2, kind="stable"), big)

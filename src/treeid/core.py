@@ -11,14 +11,19 @@ import numpy as np
 
 METHODS = ("constrained", "greedy", "hybrid")
 
+K_LIMIT = 2**31  # k < K_LIMIT, as pads equal k in an int32 path matrix
+
+
+def check_k(k: int, error=ValueError) -> None:
+    """Raise error unless the branching factor k lies in [2, K_LIMIT)."""
+    if not 2 <= k < K_LIMIT:
+        raise error(f"branching factor must be in [2, 2**31), got {k}")
+
 
 @dataclass(frozen=True)
 class ValidationResult:
     ok: bool
     violations: list[str] = field(default_factory=list)
-
-    def __bool__(self):
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -109,8 +114,7 @@ class TreeBuildConfig:
     outer_max_iters: int = 20
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"branching factor k must be >= 2, got {self.k}")
+        check_k(self.k)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.greedy_threshold < self.k:
@@ -292,10 +296,12 @@ class IdentifierTree:
         """Build the canonical arena for a path matrix.
 
         Tolerates unbalanced path sets (validate_tree reports those) but
-        rejects sets that cannot form a trie at all: duplicate paths, a path
-        that is a strict prefix of another, or a branch ordinal outside
-        [0, min(k, n_items)). Tokens after a row's first pad are ignored.
+        rejects a k outside [2, 2**31) and sets that cannot form a trie at
+        all: duplicate paths, a path that is a strict prefix of another, or a
+        branch ordinal outside [0, min(k, n_items)). Tokens after a row's
+        first pad are ignored.
         """
+        check_k(k, TreeStructureError)
         paths = np.asarray(paths)
         if paths.ndim != 2:
             raise TreeStructureError("paths must be a 2-D matrix")

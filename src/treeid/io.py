@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EmbeddingMatrix, IdentifierTree, _checked_trie, validate_embeddings
+from .core import EmbeddingMatrix, IdentifierTree, _checked_trie, check_k, validate_embeddings
 from .metrics import EvalReport
 
 MAGIC = b"SEMB"
@@ -245,8 +245,7 @@ def read_tree(source) -> IdentifierTree:
         if type(doc.get(key)) is not int:
             raise TreeFormatError(f"{key} must be a JSON integer, got {doc.get(key)!r:.40}")
     k, depth, n_items, pad = (doc[key] for key in ("k", "depth", "n_items", "pad_token"))
-    if not 2 <= k < 2**31:  # pads equal k in an int32 matrix
-        raise TreeFormatError(f"branching factor must be in [2, 2**31), got {k}")
+    check_k(k, TreeFormatError)
     if pad != k:
         raise TreeFormatError(f"pad_token must equal k={k}, got {pad}")
     try:

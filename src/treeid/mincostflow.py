@@ -58,7 +58,7 @@ import numpy as np
 
 from .core import CapacityBounds
 
-INF = 1 << 62
+COST_BUDGET = INF = 1 << 62  # caps N * max cost; also the searches' infinity
 # Tables over at most this many (row, column) cells are folded row by row in
 # Python; larger ones are rebuilt with one numpy pass.
 FOLD_CELLS = 64
@@ -92,6 +92,14 @@ class TransportInstance:
         object.__setattr__(self, "costs", costs)
 
 
+def check_bounds(n: int, k: int, bounds: CapacityBounds) -> None:
+    """Raise InfeasibleBoundsError unless k columns within bounds can hold n rows."""
+    if k * bounds.max_size < n:
+        raise InfeasibleBoundsError(f"k*max_size = {k * bounds.max_size} < N = {n}")
+    if k * bounds.min_size > n:
+        raise InfeasibleBoundsError(f"k*min_size = {k * bounds.min_size} > N = {n}")
+
+
 def solve_balanced_transport(inst: TransportInstance, start=None) -> tuple[np.ndarray, int]:
     """Return (per-row column index, minimal total cost) for the instance.
 
@@ -110,12 +118,9 @@ def solve_balanced_transport(inst: TransportInstance, start=None) -> tuple[np.nd
     costs = inst.costs
     n, k = costs.shape
     m, big = inst.bounds.min_size, inst.bounds.max_size
-    if k * big < n:
-        raise InfeasibleBoundsError(f"k*max_size = {k * big} < N = {n}")
-    if k * m > n:
-        raise InfeasibleBoundsError(f"k*min_size = {k * m} > N = {n}")
+    check_bounds(n, k, inst.bounds)
     max_cost = int(costs.max()) if costs.size else 0
-    if max_cost and n > (1 << 62) // max_cost:
+    if max_cost and n > COST_BUDGET // max_cost:
         raise CostOverflowError(
             f"N * max cost = {n} * {max_cost} exceeds the 64-bit cost budget"
         )

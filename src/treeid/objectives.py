@@ -19,18 +19,14 @@ from .core import IdentifierTree, _items_below
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Mixing weights and hyperparameters for the combined loss."""
+    """Mixing weights of the combined loss (see total_loss)."""
 
     lambda_a: float = 1.0
     lambda_r: float = 1.0
-    temperature: float = 1.0
-    margin: float = 1.0
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        if self.margin < 0 or self.lambda_a < 0 or self.lambda_r < 0:
-            raise ValueError("margin and weights must be >= 0")
+        if self.lambda_a < 0 or self.lambda_r < 0:
+            raise ValueError("weights must be >= 0")
 
 
 def _logsumexp(x: np.ndarray) -> float:

@@ -68,7 +68,7 @@ def build_tree_with_stats(X, cfg: TreeBuildConfig) -> tuple[IdentifierTree, Buil
     sizes = np.array([n_items], dtype=np.int64)
     ids = np.zeros(1, dtype=np.int64)
 
-    while sizes.size:
+    while True:
         split = sizes > k
         starts = np.cumsum(sizes) - sizes
         col = np.full(n_items, k, dtype=np.int32)
@@ -90,6 +90,8 @@ def build_tree_with_stats(X, cfg: TreeBuildConfig) -> tuple[IdentifierTree, Buil
         # a leaf group's items take the ordinals 0..n-1
         col[perm[~inner]] = (np.arange(perm.size) - starts[group])[~inner]
         columns.append(col)
+        if not split.any():  # the next level would be empty
+            break
 
         # a split group's children take k ids, a leaf group's items take n
         used = np.where(split, k, sizes)

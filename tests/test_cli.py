@@ -51,6 +51,27 @@ def test_usage_error_on_bad_k(workspace, capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-tree", "--embeddings", "{emb}", "--k", "3000000000", "--threshold", "3000000000"],
+        ["bench", "scaling", "--sizes", ","],
+        ["gen-synth", "--n", "10", "--dim", "8", "--blobs", "0"],
+        ["gen-synth", "--n", "10", "--dim", "0", "--blobs", "2"],
+        ["gen-synth", "--n", "10", "--dim", "8", "--blobs", "64"],
+        ["bench", "compare", "--n", "0"],
+        ["eval", "--runs", "{emb}", "--truth", "{emb}", "--cutoffs", ","],
+    ],
+)
+def test_argument_errors_are_usage_errors(workspace, capsys, argv):
+    tmp, emb = workspace
+    out = tmp / "out"
+    code, _, err = invoke(capsys, *(a.format(emb=emb) for a in argv), "--out", str(out))
+    assert code == 1
+    assert err.startswith("usage error: ")
+    assert not out.exists()
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = invoke(capsys, "verify", "--not-a-flag", "x")
     assert code == 1

@@ -60,6 +60,7 @@ def test_capacity_bounds_invariants():
         dict(k=4, greedy_threshold=3),
         dict(k=4, lloyd_tol=0.0),
         dict(k=4, outer_max_iters=0),
+        dict(k=2**31, greedy_threshold=2**31),  # pads equal k in an int32 path matrix
     ],
 )
 def test_tree_config_invariants(kwargs):
@@ -228,6 +229,12 @@ def test_arena_matches_naive_walk_on_random_matrices():
         n = int(rng.integers(1, 12))
         depth = int(rng.integers(1, 4))
         assert_matches_naive_walk(k, rng.integers(0, k + 1, size=(n, depth)))
+
+
+def test_from_paths_rejects_a_k_that_wraps_the_pad():
+    # pads equal k in an int32 path matrix, so k = 2**31 would wrap them
+    with pytest.raises(TreeStructureError, match="branching factor"):
+        IdentifierTree.from_paths(2**31, [[0, 2**31], [1, 0], [1, 1]])
 
 
 def test_children_table_is_at_most_n_items_wide():

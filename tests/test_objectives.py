@@ -293,6 +293,6 @@ class TestTotalLoss:
 
     def test_weight_invariants(self):
         with pytest.raises(ValueError):
-            LossWeights(temperature=0.0)
+            LossWeights(lambda_a=-0.1)
         with pytest.raises(ValueError):
-            LossWeights(margin=-0.1)
+            LossWeights(lambda_r=-0.1)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,19 @@ def test_small_group_gets_sequential_identifiers():
     t = build_tree(X, TreeBuildConfig(k=8))
     assert t.depth == 1
     assert t.paths.tolist() == [[0], [1], [2], [3], [4]]
+
+
+def test_no_k_wide_allocation_after_the_last_split():
+    X = np.random.default_rng(0).normal(size=(50, 4)).astype(np.float32)
+    cfg = TreeBuildConfig(k=10**7, greedy_threshold=10**7)
+    tracemalloc.start()
+    try:
+        t = build_tree(X, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.paths.tolist() == [[i] for i in range(50)]
+    assert peak < 1 << 20
 
 
 def test_level_one_sizes_forced_by_bounds():
