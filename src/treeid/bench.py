@@ -32,19 +32,26 @@ class BlobSpec:
             raise ValueError(f"n_blobs must be in [1, n_items={self.n_items}], got {self.n_blobs}")
         if not self.blob_spread > 0:
             raise ValueError(f"blob_spread must be > 0, got {self.blob_spread}")
+        if not np.isfinite(self.blob_spread):
+            raise ValueError(f"blob_spread must be finite, got {self.blob_spread}")
 
 
 def gen_blobs(spec: BlobSpec) -> EmbeddingMatrix:
     """Items scattered around blob centers drawn uniformly in [-10, 10]^d.
 
     Items are assigned to centers round-robin and offset by isotropic Gaussian
-    noise with the configured spread. Deterministic per seed.
+    noise with the configured spread. Deterministic per seed. Raises
+    ValueError when the spread puts points beyond float32's range.
     """
     rng = np.random.default_rng(spec.seed)
     centers = rng.uniform(-10.0, 10.0, size=(spec.n_blobs, spec.dim))
     which = np.arange(spec.n_items) % spec.n_blobs
     pts = centers[which] + rng.normal(0.0, spec.blob_spread, size=(spec.n_items, spec.dim))
-    return EmbeddingMatrix.from_array(pts.astype(np.float32))
+    with np.errstate(over="ignore"):
+        pts = pts.astype(np.float32)
+    if not np.isfinite(pts).all():
+        raise ValueError(f"blob_spread {spec.blob_spread} overflows float32")
+    return EmbeddingMatrix.from_array(pts)
 
 
 def blob_centers(spec: BlobSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ stay accepted so that existing scripts keep working.
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import bench as bench_mod
 from . import io as tio
@@ -138,10 +139,10 @@ def _int_list(text: str, option: str) -> list[int]:
     return values
 
 
-def _checked(config_type, **fields):
-    """config_type(**fields), its ValueError turned into a usage error."""
+def _checked(make, *args, **fields):
+    """make(*args, **fields), its ValueError turned into a usage error."""
     try:
-        return config_type(**fields)
+        return make(*args, **fields)
     except ValueError as e:
         raise _UsageError(str(e)) from e
 
@@ -213,6 +214,8 @@ def _cmd_bench_scaling(args) -> int:
     sizes = _int_list(args.sizes, "--sizes")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     cfg = _tree_config(args)
+    for m in methods:  # each row's config, checked before any build runs
+        _checked(replace, cfg, method=m)
     rows = bench_mod.time_builds(
         sizes,
         methods,

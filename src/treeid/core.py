@@ -266,11 +266,10 @@ class IdentifierTree:
     sits above the maximum depth. The arena is derived from paths as flat
     arrays, with node ids assigned in breadth-first order (each level in
     lexicographic prefix order) so equal path sets produce identical arenas.
-    children[n, tok] is the child of node n on branch ordinal tok, or -1; the
-    table is min(k, n_items) wide, since no valid tree uses a larger ordinal.
-    node_item[n] is the item at a leaf and -1 elsewhere. parent is
-    non-decreasing, so a node's descendants fill one contiguous id range per
-    level.
+    parent is non-decreasing, so node n's children are the ids child_start[n]
+    .. child_start[n+1]-1 in token order (token[n] is n's branch ordinal), and
+    a node's descendants fill one contiguous id range per level. node_item[n]
+    is the item at a leaf and -1 elsewhere.
     """
 
     k: int
@@ -278,7 +277,8 @@ class IdentifierTree:
     n_items: int
     paths: np.ndarray  # (n_items, depth) int32
     parent: np.ndarray  # (n_nodes,) int32, -1 at the root
-    children: np.ndarray  # (n_nodes, min(k, n_items)) int32, -1 for no child
+    child_start: np.ndarray  # (n_nodes + 1,) int64, first child id of each node
+    token: np.ndarray  # (n_nodes,) int32, branch ordinal under the parent
     node_item: np.ndarray  # (n_nodes,) int32, -1 for internal nodes
     leaf_of_item: np.ndarray  # (n_items,) int32
     node_depth: np.ndarray  # (n_nodes,) int32, 0 at the root
@@ -290,6 +290,12 @@ class IdentifierTree:
     @property
     def n_nodes(self) -> int:
         return self.parent.size
+
+    def children(self, nodes) -> np.ndarray:
+        """Child ids of nodes (-1: none) in token order, then -1, shaped (..., min(k, n_items))."""
+        lo, hi = self.child_start[nodes], self.child_start[np.add(nodes, 1)]  # -1: [n_nodes, 1)
+        kid = lo[..., None] + np.arange(min(self.k, self.n_items))
+        return np.where(kid < hi[..., None], kid, -1)
 
     @classmethod
     def from_paths(cls, k: int, paths) -> "IdentifierTree":
@@ -324,27 +330,24 @@ class IdentifierTree:
         """The arena of paths from their trie, once from_paths' or validate_paths' checks pass."""
         n_items, depth = paths.shape
         n_nodes = trie.parent.size
-        children = np.full((n_nodes, min(k, n_items)), -1, dtype=np.int32)
-        children[trie.parent[1:], trie.token[1:]] = np.arange(1, n_nodes)
+        child_start = np.searchsorted(trie.parent, np.arange(n_nodes + 1))
         node_item = np.full(n_nodes, -1, dtype=np.int32)
         node_item[trie.leaf] = trie.order
         leaf_of_item = np.empty(n_items, dtype=np.int32)
         leaf_of_item[trie.order] = trie.leaf
         return cls(
-            k, depth, n_items, paths.astype(np.int32), trie.parent, children, node_item,
-            leaf_of_item, trie.depth,
+            k, depth, n_items, paths.astype(np.int32), trie.parent, child_start, trie.token,
+            node_item, leaf_of_item, trie.depth,
         )
 
 
 def _items_below(t: IdentifierTree, node: int) -> np.ndarray:
     """The items at the leaves under node (node included), ascending."""
-    key = t.parent.dtype.type  # an int64 key would cast all of parent on every search
     lo, hi, found = node, node + 1, []
     while lo < hi:
         items = t.node_item[lo:hi]
         found.append(items[items >= 0])
-        # parent never decreases, so the children of [lo, hi) are one run of ids
-        lo, hi = t.parent.searchsorted(key(lo)), t.parent.searchsorted(key(hi - 1), side="right")
+        lo, hi = t.child_start[lo], t.child_start[hi]  # the children of [lo, hi)
     return np.sort(np.concatenate(found))
 
 

@@ -3,9 +3,9 @@
 Hypotheses only ever expand along edges that exist in the tree, so decoding
 cannot leave the set of valid identifiers. Scores are summed log-scores from a
 pluggable child scorer; scorers need not be normalized, only finite. A
-per-node scorer(context, node) scores one node's children in ordinal order; a
-batched scorer(contexts, nodes) maps a (q, b) node matrix (-1: none) to
-(q, b, width) scores laid out like tree.children.
+per-node scorer(context, node) scores a node's children in ordinal order; a
+batched scorer(contexts, nodes) maps (q, b) node ids (-1: none) to (q, b, width)
+scores laid out like tree.children(nodes): child ids in token order, then -1.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import IdentifierTree
 
-_CHUNK = 100  # queries per search: a dot scorer's gather stays a few MB
+_CELLS = 40_000  # (query, beam, child) cells per search: a dot scorer's gather stays a few MB
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,15 @@ def beam_search(t: IdentifierTree, scorer, context, cfg: BeamConfig) -> list[tup
     """
 
     def batched(_, nodes):
-        out = np.zeros(nodes.shape + t.children.shape[1:])
+        real = t.children(nodes) >= 0
+        out = np.zeros(real.shape)
         for pos in zip(*np.nonzero(nodes >= 0)):
-            real = t.children[nodes[pos]] >= 0
             raw = np.asarray(scorer(context, int(nodes[pos])), dtype=np.float64).ravel()
-            if raw.size != real.sum():
+            if raw.size != real[pos].sum():
                 raise ScorerContractError(
-                    f"scorer returned {raw.size} scores for a node with {real.sum()} children"
+                    f"scorer returned {raw.size} scores for a node with {real[pos].sum()} children"
                 )
-            out[pos][real] = raw
+            out[pos][real[pos]] = raw
         return out
 
     return beam_search_batch(t, batched, [context], cfg)[0]
@@ -73,9 +73,10 @@ def beam_search_batch(
     the best by (-score, path).
     """
     b = cfg.beam_width
+    chunk = max(1, _CELLS // (b * min(t.k, t.n_items)))
     ranked = []
-    for lo in range(0, len(contexts), _CHUNK):
-        ctx = contexts[lo : lo + _CHUNK]
+    for lo in range(0, len(contexts), chunk):
+        ctx = contexts[lo : lo + chunk]
         node = np.zeros((len(ctx), 1), dtype=np.int64)
         score = np.zeros((len(ctx), 1))
         while True:
@@ -83,7 +84,7 @@ def beam_search_batch(
             if not live.any():
                 break
             raw = np.asarray(scorer(ctx, np.where(live, node, -1)), dtype=np.float64)
-            child = np.where(live[..., None], t.children[node], -1)
+            child = t.children(node)  # a leaf's and an empty slot's rows are all -1
             if raw.shape != child.shape:
                 raise ScorerContractError(f"scorer returned shape {raw.shape}, not {child.shape}")
             if not np.isfinite(raw[child >= 0]).all():
@@ -111,7 +112,7 @@ def dot_scorer(node_embs: np.ndarray, t: IdentifierTree):
 
     node_embs is the per-node vector table (see treebuild.node_embeddings);
     stands in for a trained decoder's next-token scores at desk scale. Takes
-    both contracts, multiplying whole children-table rows in each, so a batch
+    both contracts, multiplying whole tree.children rows in each, so a batch
     scores bit-identically to its queries one by one.
     """
     dim = node_embs.shape[1]
@@ -120,14 +121,14 @@ def dot_scorer(node_embs: np.ndarray, t: IdentifierTree):
         q = np.asarray(context, dtype=np.float64)
         if q.ndim != 2 or q.shape[1] != dim:
             raise ValueError(f"query shape {q.shape} does not match node embedding dim {dim}")
-        return (node_embs[t.children[node]] @ q[:, None, :, None])[..., 0]
+        return (node_embs[t.children(node)] @ q[:, None, :, None])[..., 0]
 
     # scorer calls batch, not itself: a self-referencing closure is a cycle
     # that keeps node_embs alive until the cyclic garbage collector runs
     def scorer(context, node):
         if np.ndim(node) == 0:  # one node: the scores of its real children
             row = batch(np.reshape(context, (1, -1)), np.full((1, 1), node))[0, 0]
-            return row[t.children[node] >= 0]
+            return row[t.children(node) >= 0]
         return batch(context, node)
 
     return scorer

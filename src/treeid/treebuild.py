@@ -131,10 +131,11 @@ def item_of(t: IdentifierTree, path) -> int | None:
     for tok in (int(x) for x in np.asarray(path).ravel()):
         if tok == t.k:
             seen_pad = True
-        elif seen_pad or not 0 <= tok < t.children.shape[1] or t.children[node, tok] < 0:
+            continue
+        lo, hi = t.child_start[node : node + 2]  # node's children, ascending by token
+        node = lo + np.searchsorted(t.token[lo:hi], tok) if 0 <= tok < t.k else hi
+        if seen_pad or node == hi or t.token[node] != tok:
             return None
-        else:
-            node = int(t.children[node, tok])
     item = int(t.node_item[node])
     return item if item >= 0 else None
 

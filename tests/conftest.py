@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from treeid.core import TreeBuildConfig
+from treeid.core import IdentifierTree, TreeBuildConfig
 from treeid.treebuild import build_tree
 
 
@@ -52,13 +52,22 @@ def rand_tree(rng, n, k, dim=4, method="greedy"):
     return build_tree(pts, cfg)
 
 
+def gapped_tree():
+    """A tree from_paths accepts though its ordinals skip 1 at the root and under (0,).
+
+    Nodes, breadth-first: the root 0, (0,) 1, (2,) 2, then the leaves (0, 0)
+    3, (0, 2) 4 and (2, 1) 5 of items 0, 1 and 2.
+    """
+    return IdentifierTree.from_paths(4, [[0, 0], [0, 2], [2, 1]])
+
+
 def table_scorer(tree, rng, scale=1.0):
     """Random but fixed per-node child scores; pure per query by construction.
 
-    A child is real where its children-table entry is >= 0; each node with
-    children gets one score per real child, in branch-ordinal order.
+    Each node with children gets one score per child, in branch-ordinal
+    order.
     """
-    n_kids = (tree.children >= 0).sum(axis=1)
+    n_kids = np.diff(tree.child_start)
     table = {
         node: rng.normal(scale=scale, size=int(n))
         for node, n in enumerate(n_kids)
@@ -81,7 +90,7 @@ def exhaustive_ranking(tree, scorer, context):
         path = ()
         for tok in tokens:
             score += float(np.asarray(scorer(context, node)).ravel()[tok])
-            node = int(tree.children[node, tok])
+            node = int(tree.children(node)[tok])
             path = path + (tok,)
         results.append((score, path, item))
     results.sort(key=lambda r: (-r[0], r[1]))

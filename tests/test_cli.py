@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,8 @@ def test_usage_error_on_bad_k(workspace, capsys):
         ["gen-synth", "--n", "10", "--dim", "8", "--blobs", "64"],
         ["bench", "compare", "--n", "0"],
         ["eval", "--runs", "{emb}", "--truth", "{emb}", "--cutoffs", ","],
+        ["gen-synth", "--n", "10", "--dim", "8", "--blobs", "2", "--spread", "inf"],
+        ["bench", "scaling", "--sizes", "100", "--methods", "greedy,fastest"],
     ],
 )
 def test_argument_errors_are_usage_errors(workspace, capsys, argv):
@@ -69,6 +72,20 @@ def test_argument_errors_are_usage_errors(workspace, capsys, argv):
     code, _, err = invoke(capsys, *(a.format(emb=emb) for a in argv), "--out", str(out))
     assert code == 1
     assert err.startswith("usage error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, spread", [(1000, "1e38"), (10, "1e39")])
+def test_gen_synth_refuses_points_beyond_float32(tmp_path, capsys, n, spread):
+    # a finite spread can still put points beyond float32's range, which
+    # every reader would reject
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and the cast must not overflow with a RuntimeWarning
+        code, _, err = invoke(capsys, "gen-synth", "--n", str(n), "--dim", "4", "--blobs", "2",
+                              "--spread", spread, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and "blob_spread" in err
     assert not out.exists()
 
 
@@ -294,7 +311,6 @@ CORRUPT_INPUTS = [
 ]
 
 
-@pytest.mark.filterwarnings("error")  # 1e39 must not overflow with a RuntimeWarning
 @pytest.mark.parametrize(
     "command, option, rest, edit", CORRUPT_INPUTS, ids=[f"{c[0]}-{c[3]!r}" for c in CORRUPT_INPUTS]
 )
@@ -310,7 +326,9 @@ def test_undecodable_and_non_finite_inputs_exit_2(served, capsys, monkeypatch, c
         start = end if edit == b"\xff" else text.rindex(b",", 0, end) + 1
         bad = text[:start] + edit + text[end:]
     (tmp / "bad").write_bytes(bad)
-    code, _, err = invoke(capsys, command, option, "bad", *rest)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 1e39 must not overflow with a RuntimeWarning
+        code, _, err = invoke(capsys, command, option, "bad", *rest)
     assert code == 2, err
     assert err.startswith("error: ")
     if command != "verify":

@@ -18,7 +18,7 @@ from treeid.core import (
 )
 from treeid.treebuild import build_tree
 
-from conftest import naive_arena, naive_violations, rand_tree
+from conftest import gapped_tree, naive_arena, naive_violations, rand_tree
 
 
 def test_validate_embeddings_ok():
@@ -144,9 +144,11 @@ def test_random_builds_validate_all_methods():
 
 
 def dense_children(frozen, width):
+    """The accessor's rows: each node's children in token order, then -1."""
     table = np.full((len(frozen), width), -1, dtype=np.int64)
     for node, kids in enumerate(frozen):
-        table[node, : len(kids)] = kids
+        real = [c for c in kids if c >= 0]
+        table[node, : len(real)] = real
     return table
 
 
@@ -169,7 +171,7 @@ def assert_matches_naive_walk(k, paths):
         return
     t = IdentifierTree.from_paths(k, paths)
     assert t.parent.tolist() == parent
-    assert np.array_equal(t.children, dense_children(frozen, width))
+    assert np.array_equal(t.children(np.arange(t.n_nodes)), dense_children(frozen, width))
     assert t.node_item.tolist() == node_item
     assert t.leaf_of_item.tolist() == leaf_of_item
 
@@ -239,9 +241,18 @@ def test_from_paths_rejects_a_k_that_wraps_the_pad():
 
 def test_children_table_is_at_most_n_items_wide():
     t = IdentifierTree.from_paths(1_000_000, np.array([[0], [1], [2]]))
-    assert t.children.shape == (4, 3)
+    assert t.children(np.arange(t.n_nodes)).shape == (4, 3)
     with pytest.raises(TreeStructureError):
         IdentifierTree.from_paths(8, np.array([[0], [5]]))
+
+
+def test_children_list_the_real_children_first():
+    t = gapped_tree()
+    assert t.child_start.tolist() == [1, 3, 5, 6, 6, 6, 6]
+    assert t.token.tolist() == [0, 0, 2, 0, 2, 1]
+    rows = [[1, 2, -1], [3, 4, -1], [5, -1, -1]] + [[-1, -1, -1]] * 3
+    assert t.children(np.arange(t.n_nodes)).tolist() == rows
+    assert t.children([[2, -1], [0, 4]]).tolist() == [[rows[2], [-1] * 3], [rows[0], rows[4]]]
 
 
 def assert_read_tree_agrees(k, paths):

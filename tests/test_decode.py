@@ -1,16 +1,18 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from treeid import decode
 from treeid import io as tio
 from treeid.cli import run as cli_run
 from treeid.core import EmbeddingMatrix, IdentifierTree, TreeBuildConfig
 from treeid.decode import BeamConfig, ScorerContractError, beam_search, beam_search_batch, dot_scorer
 from treeid.treebuild import build_tree, node_embeddings
 
-from conftest import exhaustive_ranking, rand_tree, table_scorer
+from conftest import exhaustive_ranking, gapped_tree, rand_tree, table_scorer
 
 
 def depth2_binary_tree():
@@ -28,8 +30,8 @@ def test_worked_probability_example():
     t = depth2_binary_tree()
     table = {
         0: np.log([0.6, 0.4]),
-        t.children[0][0]: np.log([0.9, 0.1]),
-        t.children[0][1]: np.log([0.95, 0.05]),
+        t.children(0)[0]: np.log([0.9, 0.1]),
+        t.children(0)[1]: np.log([0.95, 0.05]),
     }
     out = beam_search(t, scorer_from_table(table), None, BeamConfig(beam_width=2, top_n=2))
     assert [item for item, _ in out] == [0, 2]
@@ -41,8 +43,8 @@ def test_width_one_is_greedy_chain():
     t = depth2_binary_tree()
     table = {
         0: np.log([0.6, 0.4]),
-        t.children[0][0]: np.log([0.9, 0.1]),
-        t.children[0][1]: np.log([0.95, 0.05]),
+        t.children(0)[0]: np.log([0.9, 0.1]),
+        t.children(0)[1]: np.log([0.95, 0.05]),
     }
     out = beam_search(t, scorer_from_table(table), None, BeamConfig(beam_width=1, top_n=1))
     assert len(out) == 1
@@ -101,12 +103,60 @@ def test_argmax_chain_survives_small_beam():
             if int(scores.argmax()) != tok or (scores == scores.max()).sum() > 1:
                 chain = False
                 break
-            node = t.children[node][tok]
+            node = t.children(node)[tok]
         if not chain:
             continue
         out = beam_search(t, scorer, None, BeamConfig(beam_width=2, top_n=2))
         assert best_item in {i for i, _ in out}
         checked += 1
+
+
+def test_gapped_tree_ranks_like_brute_force():
+    # from_paths accepts gaps in the ordinals; a node's score slots are its
+    # real children in token order, in both scorer contracts
+    t = gapped_tree()
+    below_root = {0: [1, 3], 1: [1, 4], 2: [2, 5]}  # the nodes on each item's path
+    rng = np.random.default_rng(45)
+    for _ in range(20):
+        embs = rng.integers(-2, 3, size=(t.n_nodes, 2)).astype(np.float64)
+        Q = rng.integers(-2, 3, size=(4, 2)).astype(np.float64)  # integer scores tie often
+        scorer = dot_scorer(embs, t)
+        cfg = BeamConfig(beam_width=3, top_n=3)
+        got = beam_search_batch(t, scorer, Q, cfg)
+        for q, ranked in zip(Q, got):
+            totals = [(i, float(sum(embs[v] @ q for v in nodes))) for i, nodes in below_root.items()]
+            want = sorted(totals, key=lambda r: (-r[1], t.paths[r[0]].tolist()))
+            assert ranked == want
+            assert beam_search(t, scorer, q, cfg) == want
+
+
+def traced_peak(f):
+    """f() and the peak bytes it allocated while running."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_k_equals_n_tree_stays_small_at_every_step(tmp_path):
+    # k = n = 4,000 is one leaf group under the root; a (n_nodes, min(k, n))
+    # child table would take 61 MiB at every step
+    rng = np.random.default_rng(46)
+    X = rng.normal(size=(4000, 8)).astype(np.float32)
+    Q = rng.normal(size=(200, 8))
+    path = str(tmp_path / "tree.json")
+    t, build = traced_peak(lambda: build_tree(X, TreeBuildConfig(k=4000, greedy_threshold=4000)))
+    _, write = traced_peak(lambda: tio.write_tree(t, path))
+    back, read = traced_peak(lambda: tio.read_tree(path))
+
+    def search():
+        return beam_search_batch(back, dot_scorer(node_embeddings(back, X), back), Q, BeamConfig(50, 20))
+
+    ranked, search_peak = traced_peak(search)
+    assert back.paths.tolist() == [[i] for i in range(4000)]
+    assert [r[0][0] for r in ranked] == np.argmax(Q @ X.T.astype(np.float64), axis=1).tolist()
+    assert max(build, write, read, search_peak) < 8 << 20, (build, write, read, search_peak)
 
 
 def test_contract_violations():
@@ -192,7 +242,6 @@ class TestBatchedSearch:
         return t, dot_scorer(node_embeddings(t, X), t), X
 
     def test_batch_equals_one_query_at_a_time(self):
-        # 230 queries span several internal chunks
         rng = np.random.default_rng(40)
         for _ in range(4):
             n, k = int(rng.integers(2, 400)), int(rng.integers(2, 9))
@@ -201,6 +250,20 @@ class TestBatchedSearch:
             b = int(rng.integers(1, 30))
             cfg = BeamConfig(beam_width=b, top_n=int(rng.integers(1, b + 1)))
             assert beam_search_batch(t, scorer, Q, cfg) == [beam_search(t, scorer, q, cfg) for q in Q]
+
+    def test_chunking_leaves_rankings_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        for _ in range(6):
+            n, k = int(rng.integers(2, 300)), int(rng.integers(2, 9))
+            t, scorer, X = self.dot_setup(rng, n, k)
+            Q = X[rng.integers(n, size=25)] + rng.normal(0.0, 0.3, size=(25, X.shape[1]))
+            b = int(rng.integers(1, 30))
+            cfg = BeamConfig(beam_width=b, top_n=int(rng.integers(1, b + 1)))
+            want = beam_search_batch(t, scorer, Q, cfg)  # one chunk at the default
+            for cells in (1, 7 * b * min(k, n)):  # one query per chunk, then chunks of 7
+                monkeypatch.setattr(decode, "_CELLS", cells)
+                assert beam_search_batch(t, scorer, Q, cfg) == want
+            monkeypatch.undo()
 
     def test_full_width_equals_exhaustive(self):
         rng = np.random.default_rng(41)
@@ -221,13 +284,13 @@ class TestBatchedSearch:
         for _ in range(30):
             n, k = int(rng.integers(2, 150)), int(rng.integers(2, 6))
             t = rand_tree(rng, n, k)
-            tables = rng.integers(0, 3, size=(4,) + t.children.shape).astype(np.float64)
+            tables = rng.integers(0, 3, size=(4, t.n_nodes, min(k, n))).astype(np.float64)
 
             def batched(contexts, nodes):
                 return tables[np.asarray(contexts)[:, None], nodes]
 
             def per_node(c):
-                return lambda _, node: tables[c, node][t.children[node] >= 0]
+                return lambda _, node: tables[c, node][t.children(node) >= 0]
 
             b = int(rng.integers(1, n + 1))
             cfg = BeamConfig(beam_width=b, top_n=int(rng.integers(1, b + 1)))

@@ -269,7 +269,7 @@ def test_items_below_every_node():
         for v in range(t.n_nodes):
             prefix, u = [], v
             while u:
-                prefix.append(int(np.flatnonzero(t.children[t.parent[u]] == u)[0]))
+                prefix.append(int(np.flatnonzero(t.children(t.parent[u]) == u)[0]))
                 u = t.parent[u]
             d = len(prefix)
             want = np.flatnonzero((t.paths[:, :d] == prefix[::-1]).all(axis=1))

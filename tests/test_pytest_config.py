@@ -1,5 +1,6 @@
 """The project's pytest settings keep a failing property test reportable under -W error."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +27,12 @@ def test_failing_property_test_is_reported_under_w_error(tmp_path):
     output = proc.stdout + proc.stderr
     assert "INTERNALERROR" not in output
     assert proc.returncode == 1, output
+
+
+def test_no_test_carries_an_error_warnings_mark():
+    # such a mark overrides pyproject's filter, so a failing @given test under
+    # it ends the session with an INTERNALERROR; scope the filter to the call
+    # under test with warnings.catch_warnings instead
+    mark = re.compile(r"""mark\.filterwarnings\(\s*["']error""")
+    tests = Path(__file__).resolve().parent
+    assert [p.name for p in sorted(tests.rglob("*.py")) if mark.search(p.read_text())] == []

@@ -18,7 +18,7 @@ from treeid.treebuild import (
     path_of,
 )
 
-from conftest import rand_tree
+from conftest import gapped_tree, rand_tree
 
 
 def test_small_group_gets_sequential_identifiers():
@@ -106,6 +106,15 @@ def test_item_of_absent_cases():
             assert item_of(t, [first, tok]) is None
 
 
+def test_item_of_on_a_gapped_tree():
+    t = gapped_tree()
+    leaves = {(0, 0): 0, (0, 2): 1, (2, 1): 2}
+    for length in range(4):  # -1 and 5 are out of range, 3 is a missing ordinal, 4 the pad
+        for path in itertools.product(range(-1, 6), repeat=length):
+            want = leaves.get(path[:2] if path[2:] == (4,) else path)
+            assert item_of(t, path) == want, path
+
+
 def test_item_of_internal_prefix_is_absent():
     X = np.random.default_rng(6).normal(size=(30, 2)).astype(np.float32)
     t = build_tree(X, TreeBuildConfig(k=2, seed=0))
@@ -128,7 +137,7 @@ def test_node_embeddings_internal_mean():
     t = build_tree(X, TreeBuildConfig(k=2, seed=3))
     embs = node_embeddings(t, X)
     first = t.paths[0, 0]
-    node = t.children[0][first]
+    node = t.children(0)[first]
     group = np.nonzero(t.paths[:, 0] == first)[0]
     assert np.allclose(embs[node], X[group].mean(axis=0))
 
