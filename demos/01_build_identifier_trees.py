@@ -13,7 +13,7 @@ from treeid import BlobSpec, TreeBuildConfig, build_tree_with_stats, gen_blobs, 
 from treeid.treebuild import path_of
 
 items = gen_blobs(BlobSpec(n_items=3000, dim=16, n_blobs=24, blob_spread=0.6, seed=42))
-print(f"dataset: {items.n_items} items, dim {items.dim}")
+print(f"dataset: {items.shape[0]} items, dim {items.shape[1]}")
 
 for method in ("constrained", "greedy", "hybrid"):
     cfg = TreeBuildConfig(

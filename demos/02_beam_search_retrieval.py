@@ -29,7 +29,7 @@ print(f"tree: {n} items, k=8, depth {tree.depth}")
 
 # queries are noisy copies of item embeddings; the true item is the target
 rng = np.random.default_rng(9)
-X = items.as_array().astype(np.float64)
+X = items.astype(np.float64)
 query_items = rng.choice(n, size=100, replace=False)
 queries = X[query_items] + rng.normal(0.0, 0.05, size=(100, X.shape[1]))
 

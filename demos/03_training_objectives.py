@@ -59,7 +59,7 @@ print(f"  |grad child| = {np.linalg.norm(g_child):.4f}")
 
 # --- ranking loss from a prefix-aware triplet --------------------------------
 pos, neg = triplet_sampler(tree, target=0, depth=1, seed=11)
-X = items.as_array().astype(np.float64)
+X = items.astype(np.float64)
 rank, *_ = ranking_loss(X[0], X[pos], X[neg], margin=1.0)
 print(f"\ntriplet for item 0 at prefix depth 1: positive={pos}, negative={neg}")
 print(f"ranking loss: {rank:.4f}")

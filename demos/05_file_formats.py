@@ -28,14 +28,14 @@ write_embeddings(items, buf)
 raw = buf.getvalue()
 print(f"binary file: {len(raw)} bytes, header magic {raw[:4]!r}")
 back = read_embeddings(io.BytesIO(raw))
-print(f"bit-identical after round trip: {np.array_equal(back.values, items.values)}")
+print(f"bit-identical after round trip: {np.array_equal(back, items)}")
 
 # text form carries 9 significant digits so float32 survives parsing
 text = io.StringIO()
 write_embeddings_tsv(items, text)
 print(f"tsv first line: {text.getvalue().splitlines()[0]}")
 parsed = read_embeddings_tsv(io.StringIO(text.getvalue()))
-print(f"tsv equals binary values: {np.array_equal(parsed.values, items.values)}")
+print(f"tsv equals binary values: {np.array_equal(parsed, items)}")
 
 # trees serialize to canonical JSON; write -> read -> write is byte identical
 tree = build_tree(items, TreeBuildConfig(k=4, seed=0))

@@ -10,10 +10,8 @@ from .bench import BlobSpec, compare_methods, gen_blobs, time_builds
 from .core import (
     CapacityBounds,
     ClusterAssignment,
-    EmbeddingMatrix,
     IdentifierTree,
     TreeBuildConfig,
-    validate_embeddings,
     validate_tree,
 )
 from .decode import BeamConfig, beam_search, beam_search_batch, dot_scorer
@@ -35,7 +33,6 @@ __all__ = [
     "BlobSpec",
     "CapacityBounds",
     "ClusterAssignment",
-    "EmbeddingMatrix",
     "EvalReport",
     "IdentifierTree",
     "LossWeights",
@@ -60,6 +57,5 @@ __all__ = [
     "time_builds",
     "total_loss",
     "triplet_sampler",
-    "validate_embeddings",
     "validate_tree",
 ]

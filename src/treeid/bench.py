@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import METHODS, EmbeddingMatrix, TreeBuildConfig
+from .core import METHODS, TreeBuildConfig
 from .treebuild import build_tree_with_stats
 
 
@@ -36,8 +36,8 @@ class BlobSpec:
             raise ValueError(f"blob_spread must be finite, got {self.blob_spread}")
 
 
-def gen_blobs(spec: BlobSpec) -> EmbeddingMatrix:
-    """Items scattered around blob centers drawn uniformly in [-10, 10]^d.
+def gen_blobs(spec: BlobSpec) -> np.ndarray:
+    """A float32 (n_items, dim) array of items around blob centers drawn uniformly in [-10, 10]^d.
 
     Items are assigned to centers round-robin and offset by isotropic Gaussian
     noise with the configured spread. Deterministic per seed. Raises
@@ -51,14 +51,7 @@ def gen_blobs(spec: BlobSpec) -> EmbeddingMatrix:
         pts = pts.astype(np.float32)
     if not np.isfinite(pts).all():
         raise ValueError(f"blob_spread {spec.blob_spread} overflows float32")
-    return EmbeddingMatrix.from_array(pts)
-
-
-def blob_centers(spec: BlobSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The generator's centers and per-item center labels (for sanity checks)."""
-    rng = np.random.default_rng(spec.seed)
-    centers = rng.uniform(-10.0, 10.0, size=(spec.n_blobs, spec.dim))
-    return centers, np.arange(spec.n_items) % spec.n_blobs
+    return pts
 
 
 @dataclass(frozen=True)
@@ -102,7 +95,7 @@ def time_builds(
                 _, stats = build_tree_with_stats(X, method_cfg)
                 times.append(time.perf_counter() - t0)
             seconds = float(np.median(times))
-            rows.append(BenchRow(method_cfg.method, n, X.dim, cfg.k, cfg.seed, seconds, stats.total_sse))
+            rows.append(BenchRow(method_cfg.method, n, X.shape[1], cfg.k, cfg.seed, seconds, stats.total_sse))
     return rows
 
 

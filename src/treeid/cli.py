@@ -186,7 +186,7 @@ def _cmd_decode(args) -> int:
     m = _read_embeddings_any(args.embeddings)
     queries = _read_embeddings_any(args.queries)
     scorer = dot_scorer(node_embeddings(tree, m), tree)
-    results = beam_search_batch(tree, scorer, queries.as_array(), cfg)
+    results = beam_search_batch(tree, scorer, queries, cfg)
     tio.write_ranking(results, args.out)
     return 0
 

@@ -1,8 +1,10 @@
-"""Shared domain types: embedding matrices, build configs, identifier trees.
+"""Shared domain types and input rules: build configs, identifier trees.
 
-All types are immutable after construction and safe to share across threads.
-Validation helpers return structured results instead of raising, so malformed
-data can be inspected and reported.
+An embedding matrix is a plain (n_items, dim) float32 array; check_embeddings
+is its one input rule and raises. All types are immutable after construction
+and safe to share across threads. validate_paths and validate_tree return
+structured results instead of raising, so a malformed tree can be inspected
+and reported.
 """
 
 from dataclasses import dataclass, field
@@ -26,54 +28,28 @@ class ValidationResult:
     violations: list[str] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    """N x d item embeddings stored as a flat row-major float32 buffer.
+def _check_sizes(n_items: int, dim: int, error) -> None:
+    """Raise error unless an embedding matrix has at least one row and one column."""
+    violations = [f"{name} must be >= 1, got {size}"
+                  for name, size in (("n_items", n_items), ("dim", dim)) if size < 1]
+    if violations:
+        raise error("; ".join(violations))
 
-    Row i is the embedding of item i. Instances are allowed to be malformed
-    (wrong buffer length, non-finite values) so that validate_embeddings can
-    report the problem; use from_array for checked construction.
+
+def check_embeddings(X, error=ValueError) -> np.ndarray:
+    """Return X as a C-contiguous float32 (n_items, dim) array, or raise error.
+
+    Row i is the embedding of item i. X must be 2-D with at least one row and
+    one column, and every value must be finite.
     """
-
-    n_items: int
-    dim: int
-    values: np.ndarray  # 1-D float32, length n_items * dim when well formed
-
-    @classmethod
-    def from_array(cls, arr) -> "EmbeddingMatrix":
-        arr = np.asarray(arr, dtype=np.float32)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got ndim={arr.ndim}")
-        n, d = arr.shape
-        return cls(n_items=n, dim=d, values=np.ascontiguousarray(arr).reshape(-1))
-
-    def as_array(self) -> np.ndarray:
-        """Return the (n_items, dim) float32 view; requires a consistent buffer."""
-        if self.values.size != self.n_items * self.dim:
-            raise ValueError(
-                f"values length {self.values.size} != n_items*dim = {self.n_items * self.dim}"
-            )
-        return self.values.reshape(self.n_items, self.dim)
-
-
-def validate_embeddings(m: EmbeddingMatrix) -> ValidationResult:
-    """Check declared shape against the buffer and reject non-finite entries."""
-    violations = []
-    if m.n_items < 1:
-        violations.append(f"n_items must be >= 1, got {m.n_items}")
-    if m.dim < 1:
-        violations.append(f"dim must be >= 1, got {m.dim}")
-    expected = m.n_items * m.dim
-    if m.values.size != expected:
-        violations.append(
-            f"values length {m.values.size} does not match n_items*dim = {expected}"
-        )
-    else:
-        finite = np.isfinite(m.values)
-        if not finite.all():
-            first = int(np.argmin(finite))
-            violations.append(f"non-finite value at flat index {first}")
-    return ValidationResult(ok=not violations, violations=violations)
+    arr = np.asarray(X, dtype=np.float32)
+    if arr.ndim != 2:  # before ascontiguousarray, which makes a 0-d input 1-d
+        raise error(f"expected a 2-D array, got ndim={arr.ndim}")
+    _check_sizes(*arr.shape, error)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise error(f"non-finite value at flat index {int(np.argmin(finite))}")
+    return np.ascontiguousarray(arr)
 
 
 @dataclass(frozen=True)

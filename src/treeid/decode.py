@@ -4,8 +4,9 @@ Hypotheses only ever expand along edges that exist in the tree, so decoding
 cannot leave the set of valid identifiers. Scores are summed log-scores from a
 pluggable child scorer; scorers need not be normalized, only finite. A
 per-node scorer(context, node) scores a node's children in ordinal order; a
-batched scorer(contexts, nodes) maps (q, b) node ids (-1: none) to (q, b, width)
-scores laid out like tree.children(nodes): child ids in token order, then -1.
+batched scorer(contexts, child) maps a (q, b, width) matrix of child ids laid
+out like tree.children(nodes) (each slot's children in token order, then -1)
+to scores of the same shape.
 """
 
 from dataclasses import dataclass
@@ -47,11 +48,11 @@ def beam_search(t: IdentifierTree, scorer, context, cfg: BeamConfig) -> list[tup
     top_n completed (item, log-score) pairs, best first.
     """
 
-    def batched(_, nodes):
-        real = t.children(nodes) >= 0
+    def batched(_, child):
+        real = child >= 0
         out = np.zeros(real.shape)
-        for pos in zip(*np.nonzero(nodes >= 0)):
-            raw = np.asarray(scorer(context, int(nodes[pos])), dtype=np.float64).ravel()
+        for pos in zip(*np.nonzero(real[..., 0])):
+            raw = np.asarray(scorer(context, int(t.parent[child[pos][0]])), dtype=np.float64).ravel()
             if raw.size != real[pos].sum():
                 raise ScorerContractError(
                     f"scorer returned {raw.size} scores for a node with {real[pos].sum()} children"
@@ -80,11 +81,11 @@ def beam_search_batch(
         node = np.zeros((len(ctx), 1), dtype=np.int64)
         score = np.zeros((len(ctx), 1))
         while True:
-            live = (node >= 0) & (t.node_item[node] < 0)
+            child = t.children(node)  # a leaf's and an empty slot's rows are all -1
+            live = child[..., 0] >= 0
             if not live.any():
                 break
-            raw = np.asarray(scorer(ctx, np.where(live, node, -1)), dtype=np.float64)
-            child = t.children(node)  # a leaf's and an empty slot's rows are all -1
+            raw = np.asarray(scorer(ctx, child), dtype=np.float64)
             if raw.shape != child.shape:
                 raise ScorerContractError(f"scorer returned shape {raw.shape}, not {child.shape}")
             if not np.isfinite(raw[child >= 0]).all():
@@ -117,18 +118,18 @@ def dot_scorer(node_embs: np.ndarray, t: IdentifierTree):
     """
     dim = node_embs.shape[1]
 
-    def batch(context, node):
+    def batch(context, child):
         q = np.asarray(context, dtype=np.float64)
         if q.ndim != 2 or q.shape[1] != dim:
             raise ValueError(f"query shape {q.shape} does not match node embedding dim {dim}")
-        return (node_embs[t.children(node)] @ q[:, None, :, None])[..., 0]
+        return (node_embs[child] @ q[:, None, :, None])[..., 0]
 
     # scorer calls batch, not itself: a self-referencing closure is a cycle
     # that keeps node_embs alive until the cyclic garbage collector runs
-    def scorer(context, node):
-        if np.ndim(node) == 0:  # one node: the scores of its real children
-            row = batch(np.reshape(context, (1, -1)), np.full((1, 1), node))[0, 0]
-            return row[t.children(node) >= 0]
-        return batch(context, node)
+    def scorer(context, child):
+        if np.ndim(child) == 0:  # one node: the scores of its real children
+            kids = t.children(child)
+            return batch(np.reshape(context, (1, -1)), kids[None, None])[0, 0][kids >= 0]
+        return batch(context, child)
 
     return scorer

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EmbeddingMatrix, IdentifierTree, _checked_trie, check_k, validate_embeddings
+from .core import IdentifierTree, _check_sizes, _checked_trie, check_embeddings, check_k
 from .metrics import EvalReport
 
 MAGIC = b"SEMB"
@@ -90,16 +90,16 @@ def _opened_text(source, error, kind):
         raise error(f"{kind}{where}: not {e.encoding} text: {e.reason}") from e
 
 
-def write_embeddings(m: EmbeddingMatrix, sink):
-    """Write the binary embedding format to a path or binary file object."""
-    arr = m.as_array()
+def write_embeddings(X, sink):
+    """Write an (n_items, dim) matrix in the binary embedding format to a path or binary file object."""
+    arr = np.ascontiguousarray(X, dtype="<f4")
     with _opened(sink, "wb") as f:
-        f.write(_HEADER.pack(MAGIC, VERSION, m.n_items, m.dim))
-        f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        f.write(_HEADER.pack(MAGIC, VERSION, *arr.shape))
+        f.write(arr.tobytes())
 
 
-def read_embeddings(source) -> EmbeddingMatrix:
-    """Read the binary embedding format from a path or binary file object."""
+def read_embeddings(source) -> np.ndarray:
+    """Read the binary embedding format from a path or binary file object as an (n_items, dim) array."""
     with _opened(source, "rb") as f:
         head = f.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -113,19 +113,17 @@ def read_embeddings(source) -> EmbeddingMatrix:
     expected = n_items * dim * 4
     if len(payload) != expected:
         raise TruncatedPayloadError(f"payload is {len(payload)} bytes, expected {expected}")
+    # before the reshape: with dim 0 the header may give n_items >= 2**63, beyond any shape
+    _check_sizes(n_items, dim, NonFinitePayloadError)
     values = np.frombuffer(payload, dtype="<f4").astype(np.float32)
-    m = EmbeddingMatrix(n_items=int(n_items), dim=int(dim), values=values)
-    res = validate_embeddings(m)
-    if not res.ok:
-        raise NonFinitePayloadError("; ".join(res.violations))
-    return m
+    return check_embeddings(values.reshape(n_items, dim), NonFinitePayloadError)
 
 
-def read_embeddings_tsv(source) -> EmbeddingMatrix:
+def read_embeddings_tsv(source) -> np.ndarray:
     """Read a text table: per line an item ordinal then d reals, comma or whitespace separated.
 
-    The leading ordinal is ignored; rows keep file order. Ragged rows, bad bytes,
-    and numbers unparsable or not finite as float32 raise TsvFormatError naming the line.
+    The float32 (n_items, d) array keeps file order; the leading ordinal is ignored. Ragged rows,
+    bad bytes, and numbers unparsable or not finite as float32 raise TsvFormatError naming the line.
     """
     rows, lines = [], []
     dim = None
@@ -155,18 +153,18 @@ def read_embeddings_tsv(source) -> EmbeddingMatrix:
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
         raise TsvFormatError(f"line {lines[int(np.argmin(finite))]}: non-finite value")
-    return EmbeddingMatrix.from_array(arr)
+    return arr
 
 
-def write_embeddings_tsv(m: EmbeddingMatrix, sink):
-    """Write the text table form: item ordinal then comma-separated values.
+def write_embeddings_tsv(X, sink):
+    """Write an (n_items, dim) matrix as a text table: item ordinal then comma-separated values.
 
-    Values carry 9 significant digits so a float32 round-trips exactly.
+    Values are cast to float32 and carry 9 significant digits, so they round-trip exactly.
     """
-    arr = m.as_array()
+    arr = np.asarray(X, dtype=np.float32)
     with _opened(sink, "w") as f:
-        for i in range(m.n_items):
-            f.write(f"{i}\t" + ",".join(f"{v:.9g}" for v in arr[i]) + "\n")
+        for i, row in enumerate(arr):
+            f.write(f"{i}\t" + ",".join(f"{v:.9g}" for v in row) + "\n")
 
 
 def write_tree(t: IdentifierTree, sink):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import cluster_level
-from .core import EmbeddingMatrix, IdentifierTree, TreeBuildConfig, validate_embeddings
+from .core import IdentifierTree, TreeBuildConfig, check_embeddings
 
 # Items per stacked split at most (a group larger than this is split alone),
 # so a level's stacks keep the temporaries of clustering no larger than the
@@ -32,7 +32,7 @@ STACK_ROWS = 1 << 15
 
 
 class InvalidEmbeddingsError(ValueError):
-    """Input embeddings failed validation; the message lists the violations."""
+    """Input embeddings failed check_embeddings; the message names the violation."""
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,8 @@ def _node_rng(seed: int, node_id: int) -> np.random.Generator:
 
 def build_tree_with_stats(X, cfg: TreeBuildConfig) -> tuple[IdentifierTree, BuildStats]:
     """Build the identifier tree and report the summed assignment cost."""
-    if isinstance(X, EmbeddingMatrix):
-        m = X
-    else:
-        m = EmbeddingMatrix.from_array(X)
-    res = validate_embeddings(m)
-    if not res.ok:
-        raise InvalidEmbeddingsError("; ".join(res.violations))
-    pts = m.as_array()  # float32; a stack is widened exactly as it is gathered
-    k, n_items = cfg.k, m.n_items
+    pts = check_embeddings(X, InvalidEmbeddingsError)  # a stack is widened exactly as it is gathered
+    k, n_items = cfg.k, pts.shape[0]
 
     columns = []  # one path column per level
     total_sse = 0.0
@@ -146,7 +139,7 @@ def node_embeddings(t: IdentifierTree, X) -> np.ndarray:
     X must be the matrix the tree was built from (same item count and a single
     consistent dimension).
     """
-    pts = X.as_array() if isinstance(X, EmbeddingMatrix) else np.asarray(X)
+    pts = np.asarray(X)
     if pts.ndim != 2 or pts.shape[0] != t.n_items:
         raise ValueError(
             f"embedding matrix shape {pts.shape} does not cover the tree's {t.n_items} items"

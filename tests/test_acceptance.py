@@ -213,7 +213,7 @@ def test_criterion_8_end_to_end_retrieval():
     n = 10_000
     spec = BlobSpec(n_items=n, dim=16, n_blobs=500, blob_spread=0.3, seed=0)
     m = gen_blobs(spec)
-    X = m.as_array().astype(np.float64)
+    X = m.astype(np.float64)
     rng = np.random.default_rng(1)
     targets = rng.choice(n, size=200, replace=False)
     queries = X[targets] + rng.normal(0.0, 0.05, size=(200, 16))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treeid.bench import BlobSpec, blob_centers, compare_methods, gen_blobs, time_builds
+from treeid.bench import BlobSpec, compare_methods, gen_blobs, time_builds
 from treeid.core import TreeBuildConfig
 
 
@@ -16,18 +16,19 @@ class TestGenBlobs:
         spec = BlobSpec(n_items=100, dim=16, n_blobs=5, blob_spread=0.5, seed=3)
         a = gen_blobs(spec)
         b = gen_blobs(spec)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_shape_and_finite(self):
         m = gen_blobs(BlobSpec(n_items=100, dim=16, seed=0))
-        assert m.n_items == 100 and m.dim == 16
-        assert np.isfinite(m.values).all()
+        assert m.shape == (100, 16) and m.dtype == np.float32 and m.flags.c_contiguous
+        assert np.isfinite(m).all()
 
     def test_tight_blobs_classify_by_center(self):
         spec = BlobSpec(n_items=400, dim=8, n_blobs=4, blob_spread=0.01, seed=7)
         m = gen_blobs(spec)
-        centers, labels = blob_centers(spec)
-        pts = m.as_array().astype(np.float64)
+        centers = np.random.default_rng(spec.seed).uniform(-10, 10, (spec.n_blobs, spec.dim))
+        labels = np.arange(spec.n_items) % spec.n_blobs
+        pts = m.astype(np.float64)
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
         recovered = d2.argmin(axis=1)
         assert (recovered == labels).mean() > 0.99

@@ -9,7 +9,7 @@ import pytest
 
 from treeid import io as tio
 from treeid.cli import run
-from treeid.core import EmbeddingMatrix, TreeBuildConfig
+from treeid.core import TreeBuildConfig
 from treeid.treebuild import build_tree
 
 
@@ -121,9 +121,7 @@ def test_decode_eval_pipeline(workspace, capsys):
 
     queries = tmp / "q.semb"
     m = tio.read_embeddings(str(emb))
-    tio.write_embeddings(
-        tio.EmbeddingMatrix(10, m.dim, m.as_array()[:10].reshape(-1).copy()), str(queries)
-    )
+    tio.write_embeddings(m[:10], str(queries))
     rank = tmp / "rank.csv"
     code, _, err = invoke(
         capsys, "decode", "--tree", str(tree), "--embeddings", str(emb),
@@ -241,7 +239,7 @@ def test_tsv_output_and_input(workspace, capsys):
 def test_build_tree_at_large_coordinate_scales(tmp_path, capsys, scale):
     emb = tmp_path / "big.semb"
     X = np.random.default_rng(0).normal(size=(300, 8)) * scale
-    tio.write_embeddings(EmbeddingMatrix.from_array(X.astype(np.float32)), str(emb))
+    tio.write_embeddings(X.astype(np.float32), str(emb))
     for method in ("greedy", "constrained", "hybrid"):
         tree = tmp_path / f"{method}.json"
         code, _, err = invoke(
@@ -290,7 +288,7 @@ def served(workspace, capsys):
     tmp, emb = workspace
     assert invoke(capsys, "build-tree", "--embeddings", str(emb), "--k", "4", "--out", str(tmp / "tree.json"))[0] == 0
     m = tio.read_embeddings(str(emb))
-    tio.write_embeddings_tsv(EmbeddingMatrix.from_array(m.as_array()[:10]), str(tmp / "q.tsv"))
+    tio.write_embeddings_tsv(m[:10], str(tmp / "q.tsv"))
     assert invoke(
         capsys, "decode", "--tree", str(tmp / "tree.json"), "--embeddings", str(emb),
         "--queries", str(tmp / "q.tsv"), "--beam", "5", "--top", "5", "--out", str(tmp / "rank.csv"),

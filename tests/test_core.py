@@ -8,11 +8,10 @@ import pytest
 from treeid import io as tio
 from treeid.core import (
     CapacityBounds,
-    EmbeddingMatrix,
     IdentifierTree,
     TreeBuildConfig,
     TreeStructureError,
-    validate_embeddings,
+    check_embeddings,
     validate_paths,
     validate_tree,
 )
@@ -21,27 +20,18 @@ from treeid.treebuild import build_tree
 from conftest import gapped_tree, naive_arena, naive_violations, rand_tree
 
 
-def test_validate_embeddings_ok():
-    m = EmbeddingMatrix(n_items=2, dim=2, values=np.array([1, 2, 3, 4], dtype=np.float32))
-    assert validate_embeddings(m).ok
+def test_check_embeddings_ok():
+    X = np.array([[1, 2], [3, 4]], dtype=np.float32)
+    assert check_embeddings(X) is X  # a C-contiguous float32 matrix is returned as it is
+    strided = np.arange(12, dtype=np.float64).reshape(3, 4)[:, ::2]
+    out = check_embeddings(strided)
+    assert out.dtype == np.float32 and out.flags.c_contiguous and np.array_equal(out, strided)
 
 
-def test_validate_embeddings_nan_names_flat_index():
-    vals = np.array([1.0, 2.0, np.nan, 4.0], dtype=np.float32)
-    res = validate_embeddings(EmbeddingMatrix(2, 2, vals))
-    assert not res.ok
-    assert "flat index 2" in res.violations[0]
-
-
-def test_validate_embeddings_length_mismatch():
-    res = validate_embeddings(EmbeddingMatrix(3, 2, np.zeros(5, dtype=np.float32)))
-    assert not res.ok
-    assert "n_items*dim" in res.violations[0]
-
-
-def test_as_array_requires_consistent_buffer():
-    with pytest.raises(ValueError):
-        EmbeddingMatrix(3, 2, np.zeros(5, dtype=np.float32)).as_array()
+def test_check_embeddings_nan_names_flat_index():
+    vals = np.array([[1.0, 2.0], [np.nan, 4.0]], dtype=np.float32)
+    with pytest.raises(ValueError, match=r"^non-finite value at flat index 2$"):
+        check_embeddings(vals)
 
 
 def test_capacity_bounds_invariants():

@@ -8,7 +8,7 @@ import pytest
 from treeid import decode
 from treeid import io as tio
 from treeid.cli import run as cli_run
-from treeid.core import EmbeddingMatrix, IdentifierTree, TreeBuildConfig
+from treeid.core import IdentifierTree, TreeBuildConfig
 from treeid.decode import BeamConfig, ScorerContractError, beam_search, beam_search_batch, dot_scorer
 from treeid.treebuild import build_tree, node_embeddings
 
@@ -286,8 +286,8 @@ class TestBatchedSearch:
             t = rand_tree(rng, n, k)
             tables = rng.integers(0, 3, size=(4, t.n_nodes, min(k, n))).astype(np.float64)
 
-            def batched(contexts, nodes):
-                return tables[np.asarray(contexts)[:, None], nodes]
+            def batched(contexts, child):
+                return tables[np.asarray(contexts)[:, None], t.parent[child[..., 0]]]
 
             def per_node(c):
                 return lambda _, node: tables[c, node][t.children(node) >= 0]
@@ -328,8 +328,8 @@ class TestBatchedSearch:
         def wrong_shape(contexts, nodes):
             return np.zeros(nodes.shape + (3,))
 
-        def non_finite(contexts, nodes):
-            return np.full(nodes.shape + (2,), np.nan)
+        def non_finite(contexts, child):
+            return np.full(child.shape, np.nan)
 
         for scorer in (wrong_shape, non_finite):
             with pytest.raises(ScorerContractError):
@@ -346,7 +346,7 @@ class TestNoCyclicGarbage:
         try:
             scorer = dot_scorer(embs, t)
             scorer(X[0], 0)
-            scorer(X[:2], np.zeros((2, 1), dtype=np.int64))
+            scorer(X[:2], t.children(np.zeros((2, 1), dtype=np.int64)))
             del scorer, embs
             assert alive() is None
         finally:
@@ -355,7 +355,7 @@ class TestNoCyclicGarbage:
     def test_cli_decode_leaves_no_cycles(self, tmp_path):
         X = np.random.default_rng(45).normal(size=(60, 4)).astype(np.float32)
         tio.write_tree(build_tree(X, TreeBuildConfig(k=3, method="greedy")), tmp_path / "tree.json")
-        tio.write_embeddings(EmbeddingMatrix.from_array(X), tmp_path / "items.semb")
+        tio.write_embeddings(X, tmp_path / "items.semb")
         argv = ["decode", "--tree", str(tmp_path / "tree.json"), "--beam", "5", "--top", "3",
                 "--embeddings", str(tmp_path / "items.semb"), "--queries", str(tmp_path / "items.semb"),
                 "--out", str(tmp_path / "rank.csv")]

@@ -15,7 +15,6 @@ import pytest
 
 from treeid import io as tio
 from treeid.cli import run as cli_run
-from treeid.core import EmbeddingMatrix
 
 PINNED = {
     ("constrained", 2): (
@@ -69,11 +68,11 @@ def catalog(tmp_path_factory):
         "gen-synth", "--n", "600", "--dim", "8", "--blobs", "16", "--spread", "0.5",
         "--seed", "3", "--out", str(emb),
     ]) == 0
-    X = tio.read_embeddings(emb).as_array()
+    X = tio.read_embeddings(emb)
     rng = np.random.default_rng(11)
     Q = X[rng.choice(len(X), size=40, replace=False)] + rng.normal(0.0, 0.2, size=(40, 8))
     Q = np.vstack([Q, np.zeros((1, 8))]).astype(np.float32)
-    tio.write_embeddings(EmbeddingMatrix.from_array(Q), queries)
+    tio.write_embeddings(Q, queries)
     return d, emb, queries
 
 

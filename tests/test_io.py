@@ -14,7 +14,7 @@ from treeid import core
 from treeid import io as tio
 from treeid.bench import BenchRow
 from treeid.cli import run as cli_run
-from treeid.core import EmbeddingMatrix, TreeBuildConfig, validate_tree
+from treeid.core import TreeBuildConfig, validate_tree
 from treeid.metrics import EvalReport
 from treeid.treebuild import build_tree
 
@@ -22,7 +22,7 @@ from conftest import rand_tree
 
 
 def small_matrix():
-    return EmbeddingMatrix.from_array(np.arange(6, dtype=np.float32).reshape(2, 3))
+    return np.arange(6, dtype=np.float32).reshape(2, 3)
 
 
 class TestBinaryEmbeddings:
@@ -38,13 +38,13 @@ class TestBinaryEmbeddings:
 
     def test_round_trip_bit_identical(self):
         rng = np.random.default_rng(0)
-        m = EmbeddingMatrix.from_array(rng.normal(size=(17, 5)).astype(np.float32))
+        m = rng.normal(size=(17, 5)).astype(np.float32)
         buf = stdio.BytesIO()
         tio.write_embeddings(m, buf)
         first = buf.getvalue()
         back = tio.read_embeddings(stdio.BytesIO(first))
-        assert back.n_items == 17 and back.dim == 5
-        assert np.array_equal(back.values, m.values)
+        assert back.shape == (17, 5) and back.dtype == np.float32 and back.flags.c_contiguous
+        assert np.array_equal(back, m)
         buf2 = stdio.BytesIO()
         tio.write_embeddings(back, buf2)
         assert buf2.getvalue() == first
@@ -68,18 +68,38 @@ class TestBinaryEmbeddings:
             tio.read_embeddings(stdio.BytesIO(buf.getvalue()[:-3]))
 
     def test_nan_payload(self):
-        vals = np.array([1.0, np.nan, 3.0, 4.0, 5.0, 6.0], dtype=np.float32)
+        vals = np.array([[1.0, np.nan, 3.0], [4.0, 5.0, 6.0]], dtype=np.float32)
         buf = stdio.BytesIO()
-        tio.write_embeddings(EmbeddingMatrix(2, 3, vals), buf)
+        tio.write_embeddings(vals, buf)
         with pytest.raises(tio.NonFinitePayloadError):
             tio.read_embeddings(stdio.BytesIO(buf.getvalue()))
+
+    @pytest.mark.parametrize(
+        "n_items, dim, message",
+        [
+            (0, 3, "n_items must be >= 1, got 0"),
+            (2, 0, "dim must be >= 1, got 0"),
+            (0, 0, "n_items must be >= 1, got 0; dim must be >= 1, got 0"),
+            (2**63, 0, "dim must be >= 1, got 0"),  # more rows than any array shape holds
+            (2**64 - 1, 0, "dim must be >= 1, got 0"),
+        ],
+    )
+    def test_empty_header_sizes(self, tmp_path, capsys, n_items, dim, message):
+        raw = tio._HEADER.pack(tio.MAGIC, tio.VERSION, n_items, dim)  # an empty payload fits each
+        with pytest.raises(tio.NonFinitePayloadError, match=f"^{re.escape(message)}$"):
+            tio.read_embeddings(stdio.BytesIO(raw))
+        path = tmp_path / "items.semb"
+        path.write_bytes(raw)
+        out = str(tmp_path / "tree.json")
+        assert cli_run(["build-tree", "--embeddings", str(path), "--out", out, "--k", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestTsvEmbeddings:
     def test_parse(self):
         m = tio.read_embeddings_tsv(stdio.StringIO("0\t1.0,2.0\n1\t3.0,4.0\n"))
-        assert m.n_items == 2 and m.dim == 2
-        assert m.values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert m.dtype == np.float32 and m.flags.c_contiguous
+        assert m.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_ragged_row_names_line(self):
         with pytest.raises(tio.TsvFormatError, match="line 2"):
@@ -98,11 +118,20 @@ class TestTsvEmbeddings:
 
     def test_cross_format_equality(self):
         rng = np.random.default_rng(1)
-        m = EmbeddingMatrix.from_array(rng.normal(size=(9, 4)).astype(np.float32))
+        m = rng.normal(size=(9, 4)).astype(np.float32)
         text = stdio.StringIO()
         tio.write_embeddings_tsv(m, text)
         back = tio.read_embeddings_tsv(stdio.StringIO(text.getvalue()))
-        assert np.array_equal(back.values, m.values)  # 9 significant digits round-trip f32
+        assert np.array_equal(back, m)  # 9 significant digits round-trip f32
+
+    def test_float64_input_written_as_float32(self):
+        X = np.random.default_rng(3).normal(size=(6, 3))
+        text, binary = stdio.StringIO(), stdio.BytesIO()
+        tio.write_embeddings_tsv(X, text)
+        tio.write_embeddings(X, binary)
+        back = tio.read_embeddings_tsv(stdio.StringIO(text.getvalue()))
+        assert np.array_equal(back, X.astype(np.float32))
+        assert np.array_equal(back, tio.read_embeddings(stdio.BytesIO(binary.getvalue())))
 
 
 class TestTreeJson:

@@ -1,3 +1,4 @@
+import io as stdio
 import itertools
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeid import io as tio
 from treeid import treebuild
 from treeid.clustering import cluster_level
 from treeid.core import TreeBuildConfig, validate_tree
@@ -154,6 +156,23 @@ def test_invalid_embeddings_rejected():
     X[2, 1] = np.nan
     with pytest.raises(InvalidEmbeddingsError):
         build_tree(X, TreeBuildConfig(k=2))
+
+
+@pytest.mark.parametrize("X", [np.float32(1.0), np.ones(4), np.ones((4, 2, 2))], ids=["0-d", "1-d", "3-d"])
+def test_non_matrix_embeddings_rejected(X):
+    with pytest.raises(InvalidEmbeddingsError, match=f"^expected a 2-D array, got ndim={np.ndim(X)}$"):
+        build_tree(X, TreeBuildConfig(k=2))
+
+
+def test_float64_and_list_inputs_build_the_float32_tree():
+    X = np.random.default_rng(12).normal(size=(90, 3)).astype(np.float32)
+    cfg = TreeBuildConfig(k=3, method="hybrid", greedy_threshold=20, seed=2)
+    docs = []
+    for copy in (X, X.astype(np.float64), X.tolist()):
+        buf = stdio.StringIO()
+        tio.write_tree(build_tree(copy, cfg), buf)
+        docs.append(buf.getvalue())
+    assert docs[1] == docs[0] and docs[2] == docs[0]
 
 
 def test_same_seed_bit_identical_and_threads_agree():
