@@ -12,6 +12,12 @@ scalar random draws, Lloyd's reseeds and the exact solves loop over groups.
 The functions that measure distances accept pt_norms, the squared point
 norms (pts * pts).sum(axis=-1); cluster_level computes them once per split
 and passes them to every step.
+
+Lloyd's assignment step is certified: one (G, k, n) pass ranks the
+centroids and proves, within a rounding-error bound, that each point's
+nearest centroid is the one pairwise_sqdist and argmin would pick. A step
+with any unproven label, or one that must reseed, computes pairwise_sqdist
+as the fallback, so the centroids never depend on which path ran.
 """
 
 import logging
@@ -32,6 +38,9 @@ COST_SCALE = 1 << 16
 _FILL_BLOCK = 4096
 
 _dist_evals = 0
+
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).tiny
 
 
 def distance_eval_count() -> int:
@@ -152,6 +161,12 @@ def lloyd(
     centroid; reseeds are logged at debug level since they can bump the
     otherwise non-increasing SSE. Returns the centroids.
 
+    Each assignment step takes its labels from _certified_labels, which
+    proves them equal to argmin(pairwise_sqdist(...), axis=2) in one (k, n)
+    pass per group. When some label is unproven, or a cluster must be
+    reseeded, the step computes pairwise_sqdist as the fallback, so the
+    centroids are the same whichever path ran.
+
     For a (G, n, d) stack, init is (G, k, d), the result is (G, k, d), and
     each group stops on its own. pt_norms is as in pairwise_sqdist.
     """
@@ -164,45 +179,88 @@ def lloyd(
     if k > n:
         raise ValueError(f"more centroids ({k}) than points ({n})")
     norms = _norms(pts, pt_norms)
-    scale = np.maximum(1.0, np.sqrt(norms.max(axis=1)))
+    reach = np.sqrt(norms.max(axis=1))
 
+    global _dist_evals
     # the groups still iterating, compacted whenever some of them stop
     live = np.arange(groups)
-    p, nrm, c, sc = pts, norms, cents, scale
+    p, nrm, c, r = pts, norms, cents, reach
     onehot = np.zeros((groups, n, k))  # cleared again after every mean step
     cell = np.arange(groups * n).reshape(groups, n) * k
     for _ in range(max_iters):
-        d2 = pairwise_sqdist(p, c, nrm)
-        labels = np.argmin(d2, axis=2)
+        d2 = None
+        labels = _certified_labels(p, c, r)
+        if labels is None:
+            d2 = pairwise_sqdist(p, c, nrm)
+            labels = np.argmin(d2, axis=2)
         hot = cell[: live.size] + labels  # flat one-hot index of every item
         per_group = labels + k * np.arange(live.size)[:, None]
         sizes = np.bincount(per_group.ravel(), minlength=live.size * k).reshape(live.size, k)
         reseed = ~sizes.all(axis=1)
         if reseed.any():
+            if d2 is None:
+                d2 = pairwise_sqdist(p, c, nrm)
             own = np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0]
             for g, j in np.argwhere(sizes == 0).tolist():
                 idx = int(np.argmax(own[g]))
                 log.debug("lloyd: reseeding empty cluster %d from point %d", j, idx)
                 c[g, j] = p[g, idx]
                 own[g, idx] = -1.0
+        elif d2 is None:
+            _dist_evals += labels.size * k  # the certified step's distances, counted once
 
         # one-hot matmul computes all k means in two vector ops; a group that
         # just reseeded keeps its centroids and skips this step
         onehot.reshape(-1)[hot.ravel()] = 1.0
         new_cents = (onehot[: live.size].swapaxes(1, 2) @ p) / np.maximum(sizes, 1)[:, :, None]
         onehot.reshape(-1)[hot.ravel()] = 0.0
-        done = np.sqrt(((new_cents - c) ** 2).sum(axis=2)).max(axis=1) / sc < tol
+        done = np.sqrt(((new_cents - c) ** 2).sum(axis=2)).max(axis=1) / np.maximum(1.0, r) < tol
         new_cents[reseed] = c[reseed]
         done &= ~reseed
         c = new_cents
         if done.any():
             cents[live[done]] = c[done]
             keep = ~done
-            live, p, nrm, c, sc = live[keep], p[keep], nrm[keep], c[keep], sc[keep]
+            live, p, nrm, c, r = live[keep], p[keep], nrm[keep], c[keep], r[keep]
             if not live.size:
                 break
     cents[live] = c
     return cents[0] if single else cents
+
+
+def _certified_labels(p: np.ndarray, c: np.ndarray, reach: np.ndarray) -> np.ndarray | None:
+    """The (G, n) labels argmin(pairwise_sqdist(p, c), axis=2) gives, or None if any is unproven.
+
+    reach holds each group's largest point norm. The step ranks centroids by
+    v_j = ||c_j||^2 - 2 x.c_j, the squared distance less the point's own norm,
+    computed as one (G, k, n) matmul. Any computed squared distance, here or
+    in pairwise_sqdist, whatever order BLAS sums in, is within
+    delta = 2 (d + 4) u (max ||x|| + max ||c||)^2 of the exact one (Higham's
+    bound for a d-term dot product, doubled; u is the unit roundoff, and the
+    smallest normal float covers underflow). So a point whose nearest v_j
+    beats every other by more than 4 delta has that centroid strictly nearest
+    in pairwise_sqdist's clipped distances too, and argmin returns it.
+    """
+    d, k = p.shape[2], c.shape[1]
+    cn = (c * c).sum(axis=2)
+    r = reach + np.sqrt(cn.max(axis=1))
+    if not (r < 2.0**500).all():  # no overflow below; also refuses nan and inf
+        return None
+    slack = 8 * (d + 4) * _UNIT_ROUNDOFF * r * r + 4 * _TINY  # 4 delta
+    v = (-2.0 * c) @ p.swapaxes(1, 2)
+    v += cn[:, :, None]
+    thresh = v.min(axis=1)
+    thresh += slack[:, None]
+    near = v <= thresh[:, None, :]
+    # sum of k + j over the near centroids j: k + label when exactly one is
+    # near (the nearest always is), at least 2k + 1 when several are; the
+    # largest sum, under 1.5 k^2, fits the dtype
+    weights = np.arange(k, 2 * k, dtype=np.int32 if k <= 1 << 15 else np.int64)
+    labels = np.einsum("j,gjn->gn", weights, near)
+    if labels.max() >= 2 * k:
+        return None
+    labels -= k
+    return labels
 
 
 def _discretize(d2: np.ndarray) -> np.ndarray:

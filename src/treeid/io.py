@@ -18,6 +18,7 @@ Reports are plain CSVs with a header row and values at 6 significant digits.
 """
 
 import csv
+import io
 import json
 import re
 import struct
@@ -109,14 +110,21 @@ def read_embeddings(source) -> np.ndarray:
             raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
         if version != VERSION:
             raise UnsupportedVersionError(f"unsupported version {version}, expected {VERSION}")
-        payload = f.read()
-    expected = n_items * dim * 4
-    if len(payload) != expected:
-        raise TruncatedPayloadError(f"payload is {len(payload)} bytes, expected {expected}")
-    # before the reshape: with dim 0 the header may give n_items >= 2**63, beyond any shape
-    _check_sizes(n_items, dim, NonFinitePayloadError)
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float32)
-    return check_embeddings(values.reshape(n_items, dim), NonFinitePayloadError)
+        if not f.seekable():  # a pipe: its length shows only once it is read
+            f = io.BytesIO(f.read())
+        here = f.tell()
+        size = f.seek(0, io.SEEK_END) - here
+        f.seek(here)
+        expected = n_items * dim * 4
+        if size != expected:
+            raise TruncatedPayloadError(f"payload is {size} bytes, expected {expected}")
+        # before the allocation: with dim 0 the header may give n_items >= 2**63, beyond any shape
+        _check_sizes(n_items, dim, NonFinitePayloadError)
+        values = np.empty((n_items, dim), dtype="<f4")
+        size = f.readinto(memoryview(values).cast("B"))
+        if size != expected:  # the file shrank since it was measured
+            raise TruncatedPayloadError(f"payload is {size} bytes, expected {expected}")
+    return check_embeddings(values, NonFinitePayloadError)
 
 
 def read_embeddings_tsv(source) -> np.ndarray:

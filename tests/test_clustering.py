@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeid import clustering, mincostflow
 from treeid.clustering import (
@@ -70,6 +72,162 @@ class TestLloyd:
             for i in range(31)
         ]
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+
+
+def reference_lloyd(pts, init, max_iters=100, tol=1e-4):
+    """lloyd's loop with every assignment from pairwise_sqdist and argmin: the
+    oracle for the certified assignment step."""
+    pts = np.asarray(pts, dtype=np.float64)
+    cents = np.array(init, dtype=np.float64, copy=True)
+    n, k = pts.shape[0], cents.shape[0]
+    norms = (pts * pts).sum(axis=-1)
+    scale = max(1.0, float(np.sqrt(norms.max())))
+    for _ in range(max_iters):
+        d2 = pairwise_sqdist(pts, cents, norms)
+        labels = np.argmin(d2, axis=1)
+        sizes = np.bincount(labels, minlength=k)
+        if not sizes.all():
+            own = d2[np.arange(n), labels]
+            for j in np.nonzero(sizes == 0)[0].tolist():
+                idx = int(np.argmax(own))
+                cents[j] = pts[idx]
+                own[idx] = -1.0
+            continue
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), labels] = 1.0
+        new = (onehot.T @ pts) / sizes[:, None]
+        moved = np.sqrt(((new - cents) ** 2).sum(axis=1)).max() / scale
+        cents = new
+        if moved < tol:
+            break
+    return cents
+
+
+def count_sqdist_calls(monkeypatch):
+    """Patch clustering.pairwise_sqdist to record the shape of every call."""
+    calls = []
+    inner = clustering.pairwise_sqdist
+
+    def spy(pts, cents, pt_norms=None):
+        calls.append(pts.shape)
+        return inner(pts, cents, pt_norms)
+
+    monkeypatch.setattr(clustering, "pairwise_sqdist", spy)
+    return calls
+
+
+@st.composite
+def lloyd_cases(draw):
+    """(G, n, d) stacks with k starting centroids, all scaled by 2^e: integer
+    coordinates (exact ties), repeated rows, coincident centroids, and points
+    that tie exactly but whose distances round differently."""
+    groups, k = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    n, d = draw(st.integers(k, 24)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.sampled_from([1, 3, 1000]))
+    kind = draw(st.sampled_from(["grid", "normal", "mirror"]))
+    if kind == "grid":
+        pts = rng.integers(-span, span + 1, size=(groups, n, d)).astype(np.float64)
+    else:
+        pts = rng.normal(size=(groups, n, d)) * span
+    if draw(st.booleans()):  # repeated points
+        pts[:, n // 2 :] = pts[:, : n - n // 2]
+    # starting centroids drawn from the points, with repeats: coincident
+    # centroids leave clusters empty, so the reseed runs
+    init = np.take_along_axis(pts, rng.integers(0, n, size=(groups, k, 1)), axis=1)
+    if kind == "mirror" and k >= 2:
+        # every point lies on the plane that bisects centroids 0 and 1, so
+        # its two distances are equal, but their expanded forms round apart;
+        # a has 22 bits, so a +- 8 and each product a * (a +- 8) are exact
+        a = rng.integers(2**21, 2**22) / 2**20
+        pts[:, :, 0] = a
+        init[:, 1] = init[:, 0]
+        init[:, 0, 0], init[:, 1, 0] = a + 8.0, a - 8.0
+    e = draw(st.integers(-30, 30))
+    return np.ldexp(pts, e), np.ldexp(init, e), draw(st.integers(0, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lloyd_cases())
+def test_certified_lloyd_equals_argmin_loop(case):
+    pts, init, iters = case
+    stacked = lloyd(pts, init, max_iters=iters)
+    for g in range(pts.shape[0]):
+        want = reference_lloyd(pts[g], init[g], max_iters=iters)
+        assert np.array_equal(stacked[g], want), g
+        assert np.array_equal(lloyd(pts[g], init[g], max_iters=iters), want), g
+
+
+def test_certified_labels_are_argmin_labels():
+    # one point per call, on or a few ulps off the plane that bisects
+    # centroids 0 and 1: its two distances tie or nearly do, and the two
+    # expanded forms round them differently
+    rng = np.random.default_rng(29)
+    proven = refused = 0
+    for _ in range(3000):
+        d, k = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        a = rng.integers(2**21, 2**22) / 2**20  # 22 bits: a +- 8 is exact
+        x = rng.normal(size=(1, 1, d)) * 3.0
+        x[0, 0, 0] = a + rng.integers(-2, 3) * 2.0**-51  # the spacing of floats in [2, 4)
+        c = rng.normal(size=(1, k, d)) * 3.0
+        c[0, 1] = c[0, 0]
+        c[0, 0, 0], c[0, 1, 0] = a + 8.0, a - 8.0
+        e = rng.integers(-30, 31)
+        x, c = np.ldexp(x, e), np.ldexp(c, e)
+        labels = clustering._certified_labels(x, c, np.sqrt((x * x).sum(axis=2)).max(axis=1))
+        if labels is None:
+            refused += 1
+        else:
+            proven += 1
+            assert np.array_equal(labels, np.argmin(pairwise_sqdist(x, c), axis=2))
+    assert proven > 300 and refused > 300
+
+
+def test_certified_step_runs_and_falls_back(monkeypatch):
+    calls = count_sqdist_calls(monkeypatch)
+    rng = np.random.default_rng(5)
+    # well-separated blobs: every label is proven, no distance matrix is formed
+    blobs = rng.normal(size=(2, 40, 3)) + 50.0 * rng.integers(0, 4, size=(2, 40, 1))
+    init = blobs[:, [0, 10, 20, 30]]
+    got = lloyd(blobs, init, max_iters=5, tol=0.0)
+    assert not calls
+    for g in range(2):
+        assert np.array_equal(got[g], reference_lloyd(blobs[g], init[g], max_iters=5, tol=0.0))
+    # integer points on a line with a centroid halfway between two: exact ties
+    line = np.arange(12, dtype=np.float64)[:, None]
+    init = np.array([[2.0], [4.0], [9.0]])
+    assert np.array_equal(lloyd(line, init, max_iters=1), reference_lloyd(line, init, max_iters=1))
+    assert calls == [(1, 12, 1)]
+
+
+def test_certified_step_at_wide_k(monkeypatch):
+    # k >= 128: a near-centroid count of any 8-bit type would wrap
+    calls = count_sqdist_calls(monkeypatch)
+    rng = np.random.default_rng(11)
+    k = 130
+    # spread points: every step is proven; a grid of 36 points ties, so every step falls back
+    for pts, fallbacks in ((rng.normal(size=(400, 2)) * 100.0, 0), (rng.integers(0, 6, size=(400, 2)) * 1.0, 6)):
+        init = pts[rng.choice(400, size=k, replace=False)]
+        assert np.array_equal(lloyd(pts, init, max_iters=6), reference_lloyd(pts, init, max_iters=6))
+        assert calls == [(1, 400, 2)] * fallbacks
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_lloyd_counts_each_assignment_once(tied, monkeypatch):
+    calls = count_sqdist_calls(monkeypatch)
+    rng = np.random.default_rng(23)
+    groups, n, k, iters = 3, 30, 4, 7
+    # separated blobs: every label is proven
+    pts = rng.normal(size=(groups, n, 2)) + 40.0 * rng.integers(0, 4, size=(groups, n, 1))
+    if tied:  # one group of equal points ties every centroid, so each step falls back
+        pts[0] = 1.0
+    init = pts[:, :k].copy()
+    init[:, 1] = 1e4  # far from every point: cluster 1 empties and is reseeded
+    before = clustering.distance_eval_count()
+    lloyd(pts, init, max_iters=iters, tol=-1.0)  # a negative tol never stops early
+    assert clustering.distance_eval_count() - before == iters * groups * n * k
+    # untied, only the reseed needed the distance matrix, and it was counted once
+    assert calls == [(groups, n, 2)] * (iters if tied else 1)
 
 
 class TestConstrainedAssign:

@@ -1,6 +1,7 @@
 import io as stdio
 import json
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields
 from unittest import mock
@@ -48,6 +49,38 @@ class TestBinaryEmbeddings:
         buf2 = stdio.BytesIO()
         tio.write_embeddings(back, buf2)
         assert buf2.getvalue() == first
+
+    def test_read_holds_one_copy(self, tmp_path):
+        m = np.random.default_rng(1).normal(size=(100_000, 16)).astype(np.float32)
+        path = tmp_path / "items.semb"
+        tio.write_embeddings(m, path)
+        tracemalloc.start()
+        try:
+            back = tio.read_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, m)
+        assert peak < 1.5 * m.nbytes
+
+    def test_unseekable_stream(self):
+        class Pipe(stdio.BytesIO):
+            def seekable(self):
+                return False
+
+            def seek(self, *args):
+                raise stdio.UnsupportedOperation("seek")
+
+        buf = stdio.BytesIO()
+        tio.write_embeddings(small_matrix(), buf)
+        assert np.array_equal(tio.read_embeddings(Pipe(buf.getvalue())), small_matrix())
+        with pytest.raises(tio.TruncatedPayloadError, match=r"^payload is 25 bytes, expected 24$"):
+            tio.read_embeddings(Pipe(buf.getvalue() + b"\0"))
+
+    def test_huge_header_is_truncated_not_allocated(self):
+        raw = tio._HEADER.pack(tio.MAGIC, tio.VERSION, 2**40, 16) + bytes(64)
+        with pytest.raises(tio.TruncatedPayloadError, match=f"^payload is 64 bytes, expected {2**46}$"):
+            tio.read_embeddings(stdio.BytesIO(raw))
 
     def test_bad_magic(self):
         with pytest.raises(tio.BadMagicError):
