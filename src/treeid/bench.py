@@ -65,6 +65,14 @@ class BenchRow:
     total_sse: float
 
 
+def check_timing(sizes, repeats: int) -> None:
+    """Raise ValueError unless sizes are ascending and repeats >= 1."""
+    if list(sizes) != sorted(sizes):
+        raise ValueError("sizes must be ascending")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+
+
 def time_builds(
     sizes,
     methods,
@@ -75,13 +83,12 @@ def time_builds(
 ) -> list[BenchRow]:
     """Build a tree per (size, method) cell and record wall seconds and SSE.
 
-    sizes must be ascending. Each cell uses a fixed seed: the blob seed for
-    the data and cfg.seed for the build. An unknown method fails
-    TreeBuildConfig's check before any build runs.
+    sizes and repeats must pass check_timing. Each cell uses a fixed seed:
+    the blob seed for the data and cfg.seed for the build. An unknown method
+    fails TreeBuildConfig's check before any build runs.
     """
     sizes = list(sizes)
-    if sizes != sorted(sizes):
-        raise ValueError("sizes must be ascending")
+    check_timing(sizes, repeats)
     configs = [replace(cfg, method=m) for m in methods]
     rows = []
     for n in sizes:
@@ -90,7 +97,7 @@ def time_builds(
             if warmup:
                 build_tree_with_stats(X, method_cfg)
             times = []
-            for _ in range(max(1, repeats)):
+            for _ in range(repeats):
                 t0 = time.perf_counter()
                 _, stats = build_tree_with_stats(X, method_cfg)
                 times.append(time.perf_counter() - t0)

@@ -2,9 +2,10 @@
 
 Each subparser binds its handler with set_defaults, and run calls it. Exit
 codes: 0 success, 1 usage error (a malformed command line, or option values
-that TreeBuildConfig, BeamConfig or BlobSpec rejects), 2 data or validation
-error. Reruns with the same arguments, input files, and seed produce
-byte-identical output files.
+that TreeBuildConfig, BeamConfig, BlobSpec, bench.check_timing or
+metrics.check_cutoffs rejects), 2 data or validation error. Reruns with
+the same arguments, input files, and seed produce byte-identical output
+files.
 No command starts worker threads of its own. build-tree, decode and bench
 accept and ignore --threads, and TREEID_THREADS has no effect either; both
 stay accepted so that existing scripts keep working.
@@ -18,7 +19,7 @@ from . import bench as bench_mod
 from . import io as tio
 from .core import METHODS, TreeBuildConfig
 from .decode import BeamConfig, beam_search_batch, dot_scorer
-from .metrics import evaluate_run
+from .metrics import check_cutoffs, evaluate_run
 from .mincostflow import CostOverflowError
 from .treebuild import build_tree, node_embeddings
 
@@ -193,6 +194,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_eval(args) -> int:
     cutoffs = _int_list(args.cutoffs, "--cutoffs")
+    _checked(check_cutoffs, cutoffs)
     runs = tio.read_ranking(args.runs)
     truth = tio.read_truth(args.truth)
     users = []
@@ -212,6 +214,7 @@ def _blob_spec(args, n_items: int) -> bench_mod.BlobSpec:
 
 def _cmd_bench_scaling(args) -> int:
     sizes = _int_list(args.sizes, "--sizes")
+    _checked(bench_mod.check_timing, sizes, args.repeats)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     cfg = _tree_config(args)
     for m in methods:  # each row's config, checked before any build runs
@@ -229,6 +232,7 @@ def _cmd_bench_scaling(args) -> int:
 
 
 def _cmd_bench_compare(args) -> int:
+    _checked(bench_mod.check_timing, [args.n], args.repeats)
     cfg = _tree_config(args)
     cmp = bench_mod.compare_methods(
         args.n,

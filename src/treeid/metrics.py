@@ -22,12 +22,18 @@ class EvalReport:
         return self.values[(metric, cutoff)]
 
 
+def check_cutoffs(cutoffs) -> None:
+    """Raise ValueError unless every cutoff is >= 1."""
+    for k in cutoffs:
+        if k < 1:
+            raise ValueError(f"cutoff must be >= 1, got {k}")
+
+
 def _check(relevant, k):
     relevant = set(relevant)
     if not relevant:
         raise ValueError("relevant set must be non-empty")
-    if k < 1:
-        raise ValueError(f"cutoff must be >= 1, got {k}")
+    check_cutoffs((k,))
     return relevant
 
 
@@ -60,8 +66,10 @@ def evaluate_run(per_user, cutoffs=(20, 50)) -> EvalReport:
     """Unweighted mean of the per-user metrics at every cutoff.
 
     per_user is an iterable of (recommended item list, relevant item set)
-    pairs. A malformed user aborts the run with its position in the message.
+    pairs. Every cutoff is checked before the first user; a malformed user
+    aborts the run with its position in the message.
     """
+    check_cutoffs(cutoffs)
     sums = {(m, c): 0.0 for m in METRICS for c in cutoffs}
     n_users = 0
     for uid, (recommended, relevant) in enumerate(per_user):

@@ -38,15 +38,17 @@ column's rows are sorted by delta the first time a cycle moves one of them;
 after that its table only steps past rows that left and takes rows that
 joined from a heap, so long re-solves never rebuild a column.
 
-The warm result is accepted only under a uniqueness certificate: at the
-final potentials, no cycle of zero reduced cost may contain a
-column-to-column edge (the 2-cycle a -> sink -> a moves no row and does not
-count). A unique optimum is also the one the cold search returns, so the
-output is the same either way; when the certificate fails, as with
-duplicated rows, the solver falls back to the cold search. A start thus
-changes the running time, never the result. Callers pass one for the later
-solves of an alternation, where few rows move between solves; a first
-solve has no start close to its optimum and stays cold.
+The warm result is accepted only under a uniqueness certificate: no cycle
+of zero cost may move a row (the 2-cycle a -> sink -> a moves none and does
+not count). The certificate is the same negative-cycle search once more, on
+the final graph with every cost scaled by k + 2 and each row move (a
+column-to-column edge) lowered by 1. A unique optimum is also the one the
+cold search returns, so the output is the same either way; when the
+certificate fails, as with duplicated rows, the solver falls back to the
+cold search. A start thus changes the running time, never the result.
+Callers pass one for the later solves of an alternation, where few rows
+move between solves; a first solve has no start close to its optimum and
+stays cold.
 """
 
 import math
@@ -343,6 +345,9 @@ def _cancel_cycles(costs: np.ndarray, m: int, big: int, start: np.ndarray) -> np
     the relocation table entry trans_val[a][j]; j -> t exists while load[j] <
     big and t -> a while load[a] > m, both at cost 0. The search runs on
     Python integers, so no sum can overflow; a missing edge costs math.inf.
+    The certificate is one more search on that graph, its costs scaled by
+    k + 2 and each row move lowered by 1: it finds a cycle exactly when a
+    zero-cost cycle moves a row.
     """
     n, k = costs.shape
     assign = start.astype(np.int32)
@@ -435,34 +440,14 @@ def _cancel_cycles(costs: np.ndarray, m: int, big: int, start: np.ndarray) -> np
                 if x == r:
                     advance(a, j)
 
-    # Uniqueness: under the final distances as potentials every edge has a
-    # non-negative reduced cost, so a zero-cost cycle uses tight edges
-    # (reduced cost 0) only. The optimum is unique unless some tight
-    # column-to-column edge a -> j closes a cycle, that is, unless j reaches
-    # a over tight edges. succ and reach hold node sets as bitmasks.
-    succ = [0] * (k + 1)
-    dt = dist[k]
-    for u, row in enumerate(trans_val):
-        du = dist[u]
-        for v, c in enumerate(row):
-            if du + c == dist[v]:
-                succ[u] |= 1 << v
-        if du == dt and load[u] < big:
-            succ[u] |= 1 << k
-        if dt == du and load[u] > m:
-            succ[k] |= 1 << u
-    columns = (1 << k) - 1
-    if not any(mask & columns for mask in succ[:k]):
-        return assign
-    reach = succ[:]
-    for x in range(k + 1):  # Warshall's transitive closure
-        for u in range(k + 1):
-            if reach[u] >> x & 1:
-                reach[u] |= reach[x]
-    for a in range(k):
-        for j in range(k):
-            if succ[a] >> j & 1 and reach[j] >> a & 1:
-                return None
+    # Uniqueness: the optimum is unique unless a zero-cost cycle moves a row.
+    # Scaled by s = k + 2, a cycle of cost >= 1 keeps a cost >= s - k > 0 when
+    # each of its at most k row moves is lowered by 1, while a zero-cost
+    # cycle turns negative exactly when it moves a row.
+    s = k + 2
+    scaled = [[s * c - 1 for c in row] for row in trans_val]
+    if _negative_cycle(scaled, load, m, big, [s * d for d in dist]):
+        return None
     return assign
 
 

@@ -6,16 +6,26 @@ from treeid.core import IdentifierTree, TreeBuildConfig
 from treeid.treebuild import build_tree
 
 
-def brute_force_min_cost(costs, m, M) -> int:
-    """Exhaustive minimum over all k^N assignments meeting the load bounds."""
+def _feasible_totals(costs, m, M) -> np.ndarray:
+    """Total cost of each of the k^N assignments that meet the load bounds."""
     costs = np.asarray(costs, dtype=np.int64)
     n, k = costs.shape
     grids = np.indices((k,) * n).reshape(n, -1).T  # (k^n, n)
     loads = np.stack([(grids == j).sum(axis=1) for j in range(k)], axis=1)
     feasible = (loads >= m).all(axis=1) & (loads <= M).all(axis=1)
     assert feasible.any(), "oracle called on an infeasible instance"
-    totals = costs[np.arange(n)[None, :], grids].sum(axis=1)
-    return int(totals[feasible].min())
+    return costs[np.arange(n)[None, :], grids].sum(axis=1)[feasible]
+
+
+def brute_force_min_cost(costs, m, M) -> int:
+    """Exhaustive minimum over all k^N assignments meeting the load bounds."""
+    return int(_feasible_totals(costs, m, M).min())
+
+
+def brute_force_optima(costs, m, M) -> int:
+    """How many of the k^N assignments meeting the load bounds reach the minimum."""
+    totals = _feasible_totals(costs, m, M)
+    return int((totals == totals.min()).sum())
 
 
 def central_diff(f, x, eps=1e-5):

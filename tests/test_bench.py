@@ -54,6 +54,11 @@ class TestTimeBuilds:
         with pytest.raises(ValueError):
             time_builds([400, 200], ["greedy"], BlobSpec(400, 8), quick_cfg())
 
+    @pytest.mark.parametrize("repeats", [0, -2])
+    def test_repeats_must_be_positive(self, repeats):
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            time_builds([100], ["greedy"], BlobSpec(100, 8), quick_cfg(), repeats=repeats)
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             time_builds([100], ["fastest"], BlobSpec(100, 8), quick_cfg())

@@ -64,6 +64,10 @@ def test_usage_error_on_bad_k(workspace, capsys):
         ["eval", "--runs", "{emb}", "--truth", "{emb}", "--cutoffs", ","],
         ["gen-synth", "--n", "10", "--dim", "8", "--blobs", "2", "--spread", "inf"],
         ["bench", "scaling", "--sizes", "100", "--methods", "greedy,fastest"],
+        ["bench", "scaling", "--sizes", "200,100"],
+        ["bench", "scaling", "--sizes", "100", "--repeats", "0"],
+        ["bench", "compare", "--n", "100", "--repeats", "-2"],
+        ["eval", "--runs", "{emb}", "--truth", "{emb}", "--cutoffs", "0"],
     ],
 )
 def test_argument_errors_are_usage_errors(workspace, capsys, argv):

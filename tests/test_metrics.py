@@ -89,6 +89,11 @@ class TestEvaluateRun:
         with pytest.raises(ValueError, match="user 1"):
             evaluate_run([([1], {1}), ([2], set())], cutoffs=(1,))
 
+    def test_bad_cutoff_blames_no_user(self):
+        # the cutoffs are checked before the first user, even a malformed one
+        with pytest.raises(ValueError, match=r"^cutoff must be >= 1, got 0$"):
+            evaluate_run([([1], set())], cutoffs=(5, 0))
+
     def test_user_permutation_invariance(self):
         users = [([1, 2], {2}), ([3], {3}), ([4], {9})]
         a = evaluate_run(users, cutoffs=(1, 2))

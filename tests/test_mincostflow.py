@@ -15,7 +15,7 @@ from treeid.mincostflow import (
     solve_balanced_transport,
 )
 
-from conftest import brute_force_min_cost
+from conftest import brute_force_min_cost, brute_force_optima
 
 
 def solve(costs, m, M, start=None):
@@ -201,6 +201,10 @@ def test_warm_matches_brute_force_on_ties(data):
     assert cost == int(costs[np.arange(n), assign].sum())
     assert cost == brute_force_min_cost(costs, m, M)
     assert assign.tolist() == solve(costs, m, M)[0].tolist()
+    # the certificate is exact: too strict would only cost speed, as the cold
+    # fallback returns the same answer, so no output test would notice
+    certified = mincostflow._cancel_cycles(costs, m, M, start) is not None
+    assert certified == (brute_force_optima(costs, m, M) == 1)
 
 
 def test_tied_optimum_falls_back_to_the_cold_answer():
