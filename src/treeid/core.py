@@ -4,7 +4,9 @@ An embedding matrix is a plain (n_items, dim) float32 array; check_embeddings
 is its one input rule and raises. All types are immutable after construction
 and safe to share across threads. validate_paths and validate_tree return
 structured results instead of raising, so a malformed tree can be inspected
-and reported.
+and reported. IdentifierTree.from_paths is the one tree constructor: it raises
+validate_paths' violations, so every tree is valid and round-trips through
+io.write_tree and io.read_tree.
 """
 
 from dataclasses import dataclass, field
@@ -170,11 +172,6 @@ class _Trie:
         )
         return cls(order, rows, ~fresh, parent, token, node_depth, rank, size, leaf)
 
-    def inner_leaf(self) -> int:
-        """First node, breadth-first, where one path ends and another goes on; else n_nodes."""
-        has_child = np.bincount(self.parent[1:], minlength=self.parent.size) > 0
-        return int(self.leaf[has_child[self.leaf]].min(initial=self.parent.size))
-
     def violations(self, k: int, depth: int) -> list[str]:
         """Depth, repeat, arity and balance messages, splits breadth-first.
 
@@ -202,7 +199,8 @@ class _Trie:
         gap = ~split[par] & (tok != np.arange(par.size) - np.searchsorted(par, par))
         bad = (n_kids > 0) & np.where(split, n_kids != k, n_kids != self.size)
         bad[par[off | gap]] = True
-        stop = self.inner_leaf()
+        # the first node, breadth-first, where one path ends and another goes on
+        stop = int(self.leaf[n_kids[self.leaf] > 0].min(initial=self.parent.size))
         for v in np.flatnonzero(bad[:stop]).tolist():
             n = int(self.size[v])
             prefix = tuple(self.rows[self.rank[v], : self.depth[v]].tolist())
@@ -243,9 +241,11 @@ class IdentifierTree:
     arrays, with node ids assigned in breadth-first order (each level in
     lexicographic prefix order) so equal path sets produce identical arenas.
     parent is non-decreasing, so node n's children are the ids child_start[n]
-    .. child_start[n+1]-1 in token order (token[n] is n's branch ordinal), and
-    a node's descendants fill one contiguous id range per level. node_item[n]
-    is the item at a leaf and -1 elsewhere.
+    .. child_start[n+1]-1 in token order, and a node's descendants fill one
+    contiguous id range per level. Siblings use the ordinals 0, 1, ... in
+    turn, so the child on branch j is child_start[n] + j and token[c] is c's
+    place among its siblings. node_item[n] is the item at a leaf and -1
+    elsewhere.
     """
 
     k: int
@@ -268,43 +268,30 @@ class IdentifierTree:
         return self.parent.size
 
     def children(self, nodes) -> np.ndarray:
-        """Child ids of nodes (-1: none) in token order, then -1, shaped (..., min(k, n_items))."""
+        """Child ids of nodes (-1: none), shaped (..., min(k, n_items)).
+
+        Entry j is the child on branch j, and -1 past the node's last child.
+        """
         lo, hi = self.child_start[nodes], self.child_start[np.add(nodes, 1)]  # -1: [n_nodes, 1)
         kid = lo[..., None] + np.arange(min(self.k, self.n_items))
         return np.where(kid < hi[..., None], kid, -1)
 
     @classmethod
     def from_paths(cls, k: int, paths) -> "IdentifierTree":
-        """Build the canonical arena for a path matrix.
+        """Build the canonical arena of a path matrix that validate_paths accepts.
 
-        Tolerates unbalanced path sets (validate_tree reports those) but
-        rejects a k outside [2, 2**31) and sets that cannot form a trie at
-        all: duplicate paths, a path that is a strict prefix of another, or a
-        branch ordinal outside [0, min(k, n_items)). Tokens after a row's
-        first pad are ignored.
+        The depth is the matrix's width. Raises TreeStructureError for a k
+        outside [2, 2**31), a matrix that is not 2-D, or validate_paths'
+        violations, joined by "; ".
         """
         check_k(k, TreeStructureError)
         paths = np.asarray(paths)
         if paths.ndim != 2:
             raise TreeStructureError("paths must be a 2-D matrix")
         n_items, depth = paths.shape
-        width = min(k, n_items)
-        real = np.arange(depth) < _real_lengths(k, paths)[:, None]
-        bad = real & ((paths < 0) | (paths >= width))
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise TreeStructureError(
-                f"token {paths[i, j]} at item {i}, position {j} is not an ordinal below {width}"
-            )
-        trie = _Trie.build(k, paths)
-        if trie.repeat.any() or trie.inner_leaf() < trie.parent.size:
-            raise TreeStructureError("a path repeats another path or is a prefix of one")
-        return cls._from_trie(k, paths, trie)
-
-    @classmethod
-    def _from_trie(cls, k: int, paths: np.ndarray, trie: _Trie) -> "IdentifierTree":
-        """The arena of paths from their trie, once from_paths' or validate_paths' checks pass."""
-        n_items, depth = paths.shape
+        violations, trie = _checked_trie(k, depth, paths)
+        if violations:
+            raise TreeStructureError("; ".join(violations))
         n_nodes = trie.parent.size
         child_start = np.searchsorted(trie.parent, np.arange(n_nodes + 1))
         node_item = np.full(n_nodes, -1, dtype=np.int32)
@@ -330,9 +317,10 @@ def _items_below(t: IdentifierTree, node: int) -> np.ndarray:
 def validate_paths(k: int, depth: int, paths: np.ndarray) -> ValidationResult:
     """Validate a path matrix without needing an arena.
 
-    Checks token ranges, the pad-suffix rule, path uniqueness and
-    prefix-freeness, the per-split balance bounds, and that depth equals the
-    longest real path. Split messages come in breadth-first order.
+    Checks integer tokens, token ranges, the pad-suffix rule, path
+    uniqueness and prefix-freeness, the per-split balance bounds, and that
+    depth equals the longest real path. Split messages come in breadth-first
+    order.
     """
     violations, _ = _checked_trie(k, depth, paths)
     return ValidationResult(ok=not violations, violations=violations)
@@ -343,6 +331,8 @@ def _checked_trie(k: int, depth: int, paths) -> tuple[list[str], _Trie | None]:
     paths = np.asarray(paths)
     if paths.ndim != 2 or paths.shape[1] != depth:
         return [f"paths must have shape (N, {depth})"], None
+    if paths.dtype.kind not in "iu":
+        return [f"tokens must be integers, got dtype {paths.dtype}"], None
 
     bad = (paths < 0) | (paths > k)
     if bad.any():

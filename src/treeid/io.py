@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IdentifierTree, _check_sizes, _checked_trie, check_embeddings, check_k
+from .core import IdentifierTree, TreeStructureError, _check_sizes, check_embeddings, check_k
 from .metrics import EvalReport
 
 MAGIC = b"SEMB"
@@ -232,11 +232,12 @@ def _canonical_tree(text: str):
 
 
 def read_tree(source) -> IdentifierTree:
-    """Parse tree JSON, validate the paths, and build the node arena from the same trie.
+    """Parse tree JSON and build its tree with IdentifierTree.from_paths.
 
     write_tree's canonical text is parsed by numpy and any other JSON by the
     json module; both documents then pass the same checks. Header fields and
-    tokens must be JSON integers; nothing is coerced.
+    tokens must be JSON integers; nothing is coerced. from_paths' violations
+    are raised as TreeFormatError with the same text.
     """
     try:
         with _opened(source, "r") as f:
@@ -268,10 +269,10 @@ def read_tree(source) -> IdentifierTree:
     literal = "true" in text or "false" in text
     if literal and any(type(x) is bool for row in doc["paths"] for x in row):
         raise TreeFormatError("paths must hold JSON integers, got a boolean")
-    violations, trie = _checked_trie(k, depth, paths)
-    if violations:
-        raise TreeFormatError("; ".join(violations))
-    return IdentifierTree._from_trie(k, paths, trie)
+    try:
+        return IdentifierTree.from_paths(k, paths)
+    except TreeStructureError as e:
+        raise TreeFormatError(str(e)) from e
 
 
 def _fmt(x) -> str:

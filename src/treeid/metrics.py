@@ -23,10 +23,14 @@ class EvalReport:
 
 
 def check_cutoffs(cutoffs) -> None:
-    """Raise ValueError unless every cutoff is >= 1."""
+    """Raise ValueError unless every cutoff is >= 1 and listed once."""
+    seen = set()
     for k in cutoffs:
         if k < 1:
             raise ValueError(f"cutoff must be >= 1, got {k}")
+        if k in seen:
+            raise ValueError(f"cutoff {k} is listed twice")
+        seen.add(k)
 
 
 def _check(relevant, k):

@@ -117,18 +117,19 @@ def path_of(t: IdentifierTree, item: int) -> np.ndarray:
 def item_of(t: IdentifierTree, path) -> int | None:
     """The item at a leaf path, or None when the path does not reach a leaf.
 
-    Accepts padded or unpadded token sequences. Any out-of-range token, a real
-    token after a pad, or a walk that ends anywhere but a leaf yields None.
+    Accepts padded or unpadded token sequences. Any out-of-range token, a
+    branch the node does not have, a real token after a pad, or a walk that
+    ends anywhere but a leaf yields None.
     """
     node, seen_pad = 0, False
     for tok in (int(x) for x in np.asarray(path).ravel()):
         if tok == t.k:
             seen_pad = True
             continue
-        lo, hi = t.child_start[node : node + 2]  # node's children, ascending by token
-        node = lo + np.searchsorted(t.token[lo:hi], tok) if 0 <= tok < t.k else hi
-        if seen_pad or node == hi or t.token[node] != tok:
+        lo, hi = t.child_start[node : node + 2]  # node's children: branch tok is lo + tok
+        if seen_pad or not 0 <= tok < hi - lo:
             return None
+        node = lo + tok
     item = int(t.node_item[node])
     return item if item >= 0 else None
 

@@ -62,13 +62,13 @@ def rand_tree(rng, n, k, dim=4, method="greedy"):
     return build_tree(pts, cfg)
 
 
-def gapped_tree():
-    """A tree from_paths accepts though its ordinals skip 1 at the root and under (0,).
+def sparse_tree():
+    """A valid k = 3 tree over 4 items whose node (0,) has 2 of its 3 child slots.
 
-    Nodes, breadth-first: the root 0, (0,) 1, (2,) 2, then the leaves (0, 0)
-    3, (0, 2) 4 and (2, 1) 5 of items 0, 1 and 2.
+    Nodes, breadth-first: the root 0, (0,) 1, (1,) 2, (2,) 3, then (0, 0) 4
+    and (0, 1) 5. Items 0-3 sit at (0, 0), (0, 1), (1,) and (2,).
     """
-    return IdentifierTree.from_paths(4, [[0, 0], [0, 2], [2, 1]])
+    return IdentifierTree.from_paths(3, [[0, 0], [0, 1], [1, 3], [2, 3]])
 
 
 def table_scorer(tree, rng, scale=1.0):
@@ -166,6 +166,8 @@ def naive_violations(k, depth, paths):
     """The checks of validate_paths by a Python walk of the implicit trie."""
     paths = np.asarray(paths)
     n_items = paths.shape[0]
+    if paths.dtype.kind not in "iu":
+        return [f"tokens must be integers, got dtype {paths.dtype}"]
     bad = (paths < 0) | (paths > k)
     if bad.any():
         i, j = np.argwhere(bad)[0]

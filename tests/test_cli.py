@@ -68,6 +68,7 @@ def test_usage_error_on_bad_k(workspace, capsys):
         ["bench", "scaling", "--sizes", "100", "--repeats", "0"],
         ["bench", "compare", "--n", "100", "--repeats", "-2"],
         ["eval", "--runs", "{emb}", "--truth", "{emb}", "--cutoffs", "0"],
+        ["eval", "--runs", "{emb}", "--truth", "{emb}", "--cutoffs", "20,20"],
     ],
 )
 def test_argument_errors_are_usage_errors(workspace, capsys, argv):

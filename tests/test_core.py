@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treeid import io as tio
 from treeid.core import (
@@ -17,7 +19,7 @@ from treeid.core import (
 )
 from treeid.treebuild import build_tree
 
-from conftest import gapped_tree, naive_arena, naive_violations, rand_tree
+from conftest import naive_arena, naive_violations, rand_tree, sparse_tree
 
 
 def test_check_embeddings_ok():
@@ -143,25 +145,20 @@ def dense_children(frozen, width):
 
 
 def assert_matches_naive_walk(k, paths):
-    """from_paths and validate_paths agree with the Python trie walks."""
+    """from_paths raises the naive walk's violations, else builds the naive arena."""
     paths = np.asarray(paths)
     n, depth = paths.shape
-    assert validate_paths(k, depth, paths).violations == naive_violations(k, depth, paths)
-    width = min(k, n)
-    pad_seen = np.cumsum(paths == k, axis=1) > 0
-    if (~pad_seen & ((paths < 0) | (paths >= width))).any():
-        with pytest.raises(TreeStructureError):
+    violations = naive_violations(k, depth, paths)
+    assert validate_paths(k, depth, paths).violations == violations
+    if violations:
+        with pytest.raises(TreeStructureError) as err:
             IdentifierTree.from_paths(k, paths)
+        assert str(err.value) == "; ".join(violations)
         return
-    try:
-        parent, frozen, node_item, leaf_of_item = naive_arena(k, paths)
-    except ValueError:
-        with pytest.raises(TreeStructureError):
-            IdentifierTree.from_paths(k, paths)
-        return
+    parent, frozen, node_item, leaf_of_item = naive_arena(k, paths)
     t = IdentifierTree.from_paths(k, paths)
     assert t.parent.tolist() == parent
-    assert np.array_equal(t.children(np.arange(t.n_nodes)), dense_children(frozen, width))
+    assert np.array_equal(t.children(np.arange(t.n_nodes)), dense_children(frozen, min(k, n)))
     assert t.node_item.tolist() == node_item
     assert t.leaf_of_item.tolist() == leaf_of_item
 
@@ -214,7 +211,7 @@ def test_arena_matches_naive_walk_on_corrupted_paths():
 
 
 def test_arena_matches_naive_walk_on_random_matrices():
-    # mostly unbalanced trees, gaps in the ordinals and chains of one child
+    # mostly refused: unbalanced splits, gaps in the ordinals, short depths
     rng = np.random.default_rng(33)
     for _ in range(300):
         k = int(rng.integers(2, 6))
@@ -237,12 +234,45 @@ def test_children_table_is_at_most_n_items_wide():
 
 
 def test_children_list_the_real_children_first():
-    t = gapped_tree()
-    assert t.child_start.tolist() == [1, 3, 5, 6, 6, 6, 6]
-    assert t.token.tolist() == [0, 0, 2, 0, 2, 1]
-    rows = [[1, 2, -1], [3, 4, -1], [5, -1, -1]] + [[-1, -1, -1]] * 3
+    t = sparse_tree()
+    assert t.child_start.tolist() == [1, 4, 6, 6, 6, 6, 6]
+    assert t.token.tolist() == [0, 0, 1, 2, 0, 1]
+    rows = [[1, 2, 3], [4, 5, -1]] + [[-1, -1, -1]] * 4
     assert t.children(np.arange(t.n_nodes)).tolist() == rows
-    assert t.children([[2, -1], [0, 4]]).tolist() == [[rows[2], [-1] * 3], [rows[0], rows[4]]]
+    assert t.children([[2, -1], [0, 1]]).tolist() == [[rows[2], [-1] * 3], [rows[0], rows[1]]]
+
+
+def test_from_paths_refuses_a_gapped_tree():
+    # ordinals skip 1 at the root and under (0,), so no reader could take the tree back
+    with pytest.raises(TreeStructureError) as err:
+        IdentifierTree.from_paths(4, [[0, 0], [0, 2], [2, 1]])
+    assert str(err.value) == (
+        "leaf group of 3 items at prefix () must use ordinals 0..2 once each; "
+        "leaf group of 2 items at prefix (0,) must use ordinals 0..1 once each; "
+        "leaf group of 1 items at prefix (2,) must use ordinals 0..0 once each"
+    )
+
+
+@pytest.mark.parametrize(
+    "paths",
+    [[[0.5], [1.0]], [[0.0], [1.0]], [[False], [True]], np.array([[0], [1]], dtype=object)],
+)
+def test_non_integer_tokens_are_refused(paths):
+    # nothing is truncated or cast: 0.5 and True are not branch ordinals
+    want = f"tokens must be integers, got dtype {np.asarray(paths).dtype}"
+    assert validate_paths(2, 1, paths).violations == [want]
+    with pytest.raises(TreeStructureError) as err:
+        IdentifierTree.from_paths(2, paths)
+    assert str(err.value) == want
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint64])
+def test_any_integer_dtype_is_accepted(dtype):
+    paths = np.array([[0, 0], [0, 1], [1, 3], [2, 3]], dtype=dtype)
+    assert validate_paths(3, 2, paths).ok
+    t = IdentifierTree.from_paths(3, paths)
+    assert t.paths.dtype == np.int32 and np.array_equal(t.paths, paths)
+    assert np.array_equal(t.parent, sparse_tree().parent)
 
 
 def assert_read_tree_agrees(k, paths):
@@ -293,3 +323,40 @@ def test_read_tree_agrees_on_random_matrices():
         n = int(rng.integers(1, 12))
         depth = int(rng.integers(1, 4))
         assert_read_tree_agrees(k, rng.integers(0, k + 1, size=(n, depth)))
+
+
+def assert_same_arrays(got, want):
+    for f in dataclasses.fields(IdentifierTree):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+@st.composite
+def token_matrices(draw):
+    """(k, paths): small matrices of random tokens in [0, k], or a built tree's paths."""
+    k = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 60))
+        return k, rand_tree(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, k).paths
+    n, depth = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, k), min_size=depth, max_size=depth)
+    return k, np.array(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=token_matrices())
+@example(case=(4, np.array([[0, 0], [0, 2], [2, 1]])))  # a gapped tree
+@example(case=(2, np.array([[0, 2], [1, 2]])))  # a pad column past the longest path
+def test_accepted_paths_round_trip_through_the_tree_file(case):
+    """Every tree from_paths builds is written and read back to equal arrays."""
+    k, paths = case
+    try:
+        t = IdentifierTree.from_paths(k, paths)
+    except TreeStructureError:
+        return
+    buf = stdio.StringIO()
+    tio.write_tree(t, buf)
+    assert_same_arrays(tio.read_tree(stdio.StringIO(buf.getvalue())), t)

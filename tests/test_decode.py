@@ -12,7 +12,7 @@ from treeid.core import IdentifierTree, TreeBuildConfig
 from treeid.decode import BeamConfig, ScorerContractError, beam_search, beam_search_batch, dot_scorer
 from treeid.treebuild import build_tree, node_embeddings
 
-from conftest import exhaustive_ranking, gapped_tree, rand_tree, table_scorer
+from conftest import exhaustive_ranking, rand_tree, table_scorer
 
 
 def depth2_binary_tree():
@@ -109,25 +109,6 @@ def test_argmax_chain_survives_small_beam():
         out = beam_search(t, scorer, None, BeamConfig(beam_width=2, top_n=2))
         assert best_item in {i for i, _ in out}
         checked += 1
-
-
-def test_gapped_tree_ranks_like_brute_force():
-    # from_paths accepts gaps in the ordinals; a node's score slots are its
-    # real children in token order, in both scorer contracts
-    t = gapped_tree()
-    below_root = {0: [1, 3], 1: [1, 4], 2: [2, 5]}  # the nodes on each item's path
-    rng = np.random.default_rng(45)
-    for _ in range(20):
-        embs = rng.integers(-2, 3, size=(t.n_nodes, 2)).astype(np.float64)
-        Q = rng.integers(-2, 3, size=(4, 2)).astype(np.float64)  # integer scores tie often
-        scorer = dot_scorer(embs, t)
-        cfg = BeamConfig(beam_width=3, top_n=3)
-        got = beam_search_batch(t, scorer, Q, cfg)
-        for q, ranked in zip(Q, got):
-            totals = [(i, float(sum(embs[v] @ q for v in nodes))) for i, nodes in below_root.items()]
-            want = sorted(totals, key=lambda r: (-r[1], t.paths[r[0]].tolist()))
-            assert ranked == want
-            assert beam_search(t, scorer, q, cfg) == want
 
 
 def traced_peak(f):

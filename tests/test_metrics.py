@@ -94,6 +94,11 @@ class TestEvaluateRun:
         with pytest.raises(ValueError, match=r"^cutoff must be >= 1, got 0$"):
             evaluate_run([([1], set())], cutoffs=(5, 0))
 
+    def test_repeated_cutoff_is_refused(self):
+        # a cutoff listed twice would be summed twice into one report entry
+        with pytest.raises(ValueError, match=r"^cutoff 2 is listed twice$"):
+            evaluate_run([([1], set())], cutoffs=(2, 2))
+
     def test_user_permutation_invariance(self):
         users = [([1, 2], {2}), ([3], {3}), ([4], {9})]
         a = evaluate_run(users, cutoffs=(1, 2))

@@ -20,7 +20,7 @@ from treeid.treebuild import (
     path_of,
 )
 
-from conftest import gapped_tree, rand_tree
+from conftest import rand_tree, sparse_tree
 
 
 def test_small_group_gets_sequential_identifiers():
@@ -108,12 +108,13 @@ def test_item_of_absent_cases():
             assert item_of(t, [first, tok]) is None
 
 
-def test_item_of_on_a_gapped_tree():
-    t = gapped_tree()
-    leaves = {(0, 0): 0, (0, 2): 1, (2, 1): 2}
-    for length in range(4):  # -1 and 5 are out of range, 3 is a missing ordinal, 4 the pad
-        for path in itertools.product(range(-1, 6), repeat=length):
-            want = leaves.get(path[:2] if path[2:] == (4,) else path)
+def test_item_of_on_a_sparse_tree():
+    t = sparse_tree()
+    leaves = {(0, 0): 0, (0, 1): 1, (1,): 2, (2,): 3}
+    for length in range(4):  # -1 and 4 are out of range, 3 is the pad, (0, 2) a missing branch
+        for path in itertools.product(range(-1, 5), repeat=length):
+            real = path[: path.index(3)] if 3 in path else path
+            want = leaves.get(real) if set(path[len(real) :]) <= {3} else None
             assert item_of(t, path) == want, path
 
 
