@@ -173,7 +173,7 @@ class _Trie:
         return cls(order, rows, ~fresh, parent, token, node_depth, rank, size, leaf)
 
     def violations(self, k: int, depth: int) -> list[str]:
-        """Depth, repeat, arity and balance messages, splits breadth-first.
+        """Depth, repeat, arity, balance and leaf-group messages, nodes breadth-first.
 
         Split messages stop at the first node where one path ends and another
         goes on, which is named last.
@@ -197,23 +197,29 @@ class _Trie:
         # siblings are contiguous and ascending, so a leaf group of n uses
         # ordinals 0..n-1 when it has n children, each numbered by its place
         gap = ~split[par] & (tok != np.arange(par.size) - np.searchsorted(par, par))
+        deep = ~split[par] & (n_kids[1:] > 0)  # the children of a leaf group are leaves
         bad = (n_kids > 0) & np.where(split, n_kids != k, n_kids != self.size)
-        bad[par[off | gap]] = True
+        bad[par[off | gap | deep]] = True
         # the first node, breadth-first, where one path ends and another goes on
         stop = int(self.leaf[n_kids[self.leaf] > 0].min(initial=self.parent.size))
         for v in np.flatnonzero(bad[:stop]).tolist():
             n = int(self.size[v])
             prefix = tuple(self.rows[self.rank[v], : self.depth[v]].tolist())
+            kids = np.arange(np.searchsorted(par, v), np.searchsorted(par, v, side="right"))
             if not split[v]:
-                violations.append(
-                    f"leaf group of {n} items at prefix {prefix} must use ordinals 0..{n - 1} once each"
+                if n_kids[v] != n or gap[kids].any():
+                    violations.append(
+                        f"leaf group of {n} items at prefix {prefix} must use ordinals 0..{n - 1} once each"
+                    )
+                violations.extend(
+                    f"leaf group of {n} items at prefix {prefix}: child {tok[c]} is not a leaf"
+                    for c in kids[deep[kids]].tolist()
                 )
                 continue
             if n_kids[v] != k:
                 violations.append(
                     f"split of {n} items at prefix {prefix} has {n_kids[v]} children, expected {k}"
                 )
-            kids = np.arange(np.searchsorted(par, v), np.searchsorted(par, v, side="right"))
             violations.extend(
                 f"split of {n} items at prefix {prefix}: child {tok[c]} has size {kid_size[c]}, "
                 f"outside [{n // k}, {n // k + 1}]"

@@ -25,13 +25,13 @@ class LossWeights:
     lambda_r: float = 1.0
 
     def __post_init__(self):
-        if self.lambda_a < 0 or self.lambda_r < 0:
+        if not (self.lambda_a >= 0 and self.lambda_r >= 0):  # refuses NaN too
             raise ValueError("weights must be >= 0")
 
 
 def _logsumexp(x: np.ndarray) -> float:
-    m = float(x.max())
-    return m + float(np.log(np.exp(x - m).sum()))
+    m = np.maximum.reduce(x)
+    return float(m + np.log(np.add.reduce(np.exp(x - m))))
 
 
 def _softplus(a: float) -> float:
@@ -58,9 +58,13 @@ def generation_loss(step_scores, target, pad_token: int | None = None):
     equal to the child count at that tree position. target is the token path;
     steps whose target token equals pad_token contribute zero loss and zero
     gradient. Returns (loss, per-step gradients), gradients shaped like
-    step_scores (softmax minus the one-hot target).
+    step_scores (softmax minus the one-hot target). Target tokens must be
+    integers: a float token is refused, not truncated.
     """
-    target = [int(x) for x in np.asarray(target).ravel()]
+    tokens = np.asarray(target).ravel()
+    if tokens.size and tokens.dtype.kind not in "iu":
+        raise ValueError(f"target tokens must be integers, got dtype {tokens.dtype}")
+    target = tokens.tolist()
     if len(step_scores) < sum(1 for tok in target if tok != pad_token):
         raise ValueError("fewer score vectors than non-pad target steps")
     loss = 0.0
@@ -84,29 +88,37 @@ def alignment_loss(child, parent, negatives, tau: float = 1.0):
 
     loss = -log( exp(c.p / tau) / (exp(c.p / tau) + sum_j exp(c.n_j / tau)) )
 
-    Returns (loss, grad_child, grad_parent, grad_negatives). Requires at least
-    one negative and matching dimensions everywhere.
+    Returns (loss, grad_child, grad_parent, grad_negatives), grad_negatives a
+    list of rows. Requires at least one negative and matching dimensions
+    everywhere. negatives may be one (n, d) array or any sequence of vectors.
+    The bits do not depend on that form: each logit is its own dot product
+    c.n_j, never a row of a matrix-vector product, and grad_child sums the
+    weighted negatives in order starting from +0.0, never pairwise.
     """
     c = np.asarray(child, dtype=np.float64).ravel()
     p = np.asarray(parent, dtype=np.float64).ravel()
-    negs = [np.asarray(v, dtype=np.float64).ravel() for v in negatives]
-    if not negs:
+    if not isinstance(negatives, np.ndarray):
+        negatives = [np.asarray(v, dtype=np.float64).ravel() for v in negatives]
+        if any(v.size != c.size for v in negatives):
+            raise ValueError("child, parent, and negatives must share one dimension")
+    negs = np.ascontiguousarray(negatives, dtype=np.float64)  # a strided row dots in another order
+    if not len(negs):
         raise ValueError("alignment loss needs at least one negative")
-    if p.size != c.size or any(v.size != c.size for v in negs):
+    negs = negs.reshape(len(negs), negs[0].size)  # each negative as the vector it ravels to
+    if p.size != c.size or negs.shape[1] != c.size:
         raise ValueError("child, parent, and negatives must share one dimension")
     if not tau > 0:
         raise ValueError(f"temperature must be > 0, got {tau}")
 
-    z = np.empty(1 + len(negs))
-    z[0] = c @ p / tau
-    for j, v in enumerate(negs):
-        z[1 + j] = c @ v / tau
+    z = np.array([c.dot(p), *map(c.dot, negs)]) / tau
     loss = _nll(z, 0)
     w = np.exp(z - _logsumexp(z))
 
-    grad_child = ((w[0] - 1.0) * p + sum(w[1 + j] * v for j, v in enumerate(negs))) / tau
+    wn = w[1:, None]
+    # row by row from +0.0, as Python's sum adds; never pairwise
+    grad_child = ((w[0] - 1.0) * p + (0.0 + np.add.accumulate(wn * negs)[-1])) / tau
     grad_parent = (w[0] - 1.0) * c / tau
-    grad_negs = [w[1 + j] * c / tau for j in range(len(negs))]
+    grad_negs = list(wn * c / tau)
     return loss, grad_child, grad_parent, grad_negs
 
 

@@ -225,9 +225,15 @@ def naive_violations(k, depth, paths):
                             f"split of {n} items at prefix {prefix}: child {tok} has size {s}, "
                             f"outside [{lo}, {hi}]"
                         )
-            elif sorted(groups) != list(range(n)) or any(s != 1 for s in sizes.values()):
-                violations.append(
-                    f"leaf group of {n} items at prefix {prefix} must use ordinals 0..{n - 1} once each"
+            else:
+                if sorted(groups) != list(range(n)) or any(s != 1 for s in sizes.values()):
+                    violations.append(
+                        f"leaf group of {n} items at prefix {prefix} must use ordinals 0..{n - 1} once each"
+                    )
+                violations.extend(
+                    f"leaf group of {n} items at prefix {prefix}: child {tok} is not a leaf"
+                    for tok, g in sorted(groups.items())
+                    if any(len(trimmed[it]) > level + 1 for it in g)
                 )
             next_frontier.extend((prefix + (tok,), g) for tok, g in sorted(groups.items()))
         frontier = next_frontier

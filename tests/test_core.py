@@ -243,14 +243,43 @@ def test_children_list_the_real_children_first():
 
 
 def test_from_paths_refuses_a_gapped_tree():
-    # ordinals skip 1 at the root and under (0,), so no reader could take the tree back
+    # ordinals skip 1 at the root and under (0,), so no reader could take the tree back;
+    # the root holds 3 <= k items, so its children must also be leaves
     with pytest.raises(TreeStructureError) as err:
         IdentifierTree.from_paths(4, [[0, 0], [0, 2], [2, 1]])
     assert str(err.value) == (
         "leaf group of 3 items at prefix () must use ordinals 0..2 once each; "
+        "leaf group of 3 items at prefix (): child 0 is not a leaf; "
+        "leaf group of 3 items at prefix (): child 2 is not a leaf; "
         "leaf group of 2 items at prefix (0,) must use ordinals 0..1 once each; "
         "leaf group of 1 items at prefix (2,) must use ordinals 0..0 once each"
     )
+
+
+@pytest.mark.parametrize(
+    "k,paths,want",
+    [
+        (2, [[0, 0], [1, 2]], ["leaf group of 2 items at prefix (): child 0 is not a leaf"]),
+        (
+            2,
+            [[0, 0, 0], [1, 2, 2]],
+            [
+                "leaf group of 2 items at prefix (): child 0 is not a leaf",
+                "leaf group of 1 items at prefix (0,): child 0 is not a leaf",
+            ],
+        ),
+        (1_000_000, [[0, 0], [1, 0], [2, 0]], [
+            f"leaf group of 3 items at prefix (): child {tok} is not a leaf" for tok in range(3)
+        ]),
+    ],
+)
+def test_from_paths_refuses_a_chain_under_a_leaf_group(k, paths, want):
+    # a node of one item may not have one child: a leaf group's children are leaves
+    assert naive_violations(k, len(paths[0]), paths) == want
+    assert validate_paths(k, len(paths[0]), paths).violations == want
+    with pytest.raises(TreeStructureError) as err:
+        IdentifierTree.from_paths(k, paths)
+    assert str(err.value) == "; ".join(want)
 
 
 @pytest.mark.parametrize(

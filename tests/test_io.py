@@ -214,6 +214,15 @@ class TestTreeJson:
         with pytest.raises(tio.TreeFormatError):
             tio.read_tree(stdio.StringIO(json.dumps(doc)))
 
+    @pytest.mark.parametrize(
+        "depth,paths",
+        [(2, [[0, 0], [1, 2]]), (3, [[0, 0, 0], [1, 2, 2]])],
+    )
+    def test_chain_under_a_leaf_group_rejected(self, depth, paths):
+        doc = {"format": "treeid-v1", "k": 2, "depth": depth, "n_items": 2, "pad_token": 2, "paths": paths}
+        with pytest.raises(tio.TreeFormatError, match=r"^leaf group of 2 items at prefix \(\): child 0 is not a leaf"):
+            tio.read_tree(stdio.StringIO(json.dumps(doc)))
+
     def test_wrong_pad_token_rejected(self):
         doc = {
             "format": "treeid-v1",

@@ -63,6 +63,17 @@ class TestGenerationLoss:
         with pytest.raises(IndexError):
             generation_loss([np.zeros(3)], [3])
 
+    @pytest.mark.parametrize("target", [[1.7], [1.0], np.array([0.0, 1.0])])
+    def test_non_integer_tokens_refused(self, target):
+        with pytest.raises(ValueError, match="^target tokens must be integers, got dtype float64$"):
+            generation_loss([np.zeros(3), np.zeros(3)], target)
+
+    def test_integer_token_arrays_accepted(self):
+        for dtype in (np.int32, np.uint8, np.int64):
+            loss, _ = generation_loss([np.zeros(3)], np.array([2], dtype=dtype))
+            assert loss == pytest.approx(np.log(3.0), rel=1e-12)
+        assert generation_loss([], []) == (0.0, [])
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -114,6 +125,32 @@ class TestAlignmentLoss:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             alignment_loss(np.ones(2), np.ones(3), [np.ones(2)])
+
+    @pytest.mark.parametrize("negatives", [[], (), np.empty((0, 3)), iter([])])
+    def test_empty_negatives_message(self, negatives):
+        with pytest.raises(ValueError, match="^alignment loss needs at least one negative$"):
+            alignment_loss(np.ones(3), np.ones(3), negatives)
+
+    @pytest.mark.parametrize(
+        "negatives",
+        [[np.ones(3), np.ones(2)], [np.ones(3), np.ones((2, 2))], np.ones((2, 2)), np.ones((2, 3, 2))],
+    )
+    def test_ragged_negatives_message(self, negatives):
+        with pytest.raises(ValueError, match="^child, parent, and negatives must share one dimension$"):
+            alignment_loss(np.ones(3), np.ones(3), negatives)
+
+    def test_every_form_of_the_negatives_gives_the_same_bits(self):
+        rng = np.random.default_rng(5)
+        c, p, *negs = rng.normal(size=(8, 5))
+        want = alignment_loss(c, p, np.array(negs), tau=0.3)
+        forms = [negs, tuple(negs), [v[None, :] for v in negs], np.array(negs)[:, :, None],
+                 np.asfortranarray(negs), iter(negs)]
+        for form in forms:
+            got = alignment_loss(c, p, form, tau=0.3)
+            assert got[0] == want[0]
+            for g, w in zip(got[1:3] + tuple(got[3]), want[1:3] + tuple(want[3])):
+                assert g.tobytes() == w.tobytes()
+            assert len(got[3]) == len(negs)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -296,3 +333,8 @@ class TestTotalLoss:
             LossWeights(lambda_a=-0.1)
         with pytest.raises(ValueError):
             LossWeights(lambda_r=-0.1)
+
+    @pytest.mark.parametrize("field", ["lambda_a", "lambda_r"])
+    def test_nan_weight_refused(self, field):
+        with pytest.raises(ValueError, match="^weights must be >= 0$"):
+            LossWeights(**{field: float("nan")})
