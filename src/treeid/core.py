@@ -122,8 +122,8 @@ class TreeStructureError(ValueError):
 class _Trie:
     """The implicit trie of a path matrix, built level by level on arrays.
 
-    Rows are sorted lexicographically (tokens after a row's first pad count
-    as pads), so rows sharing a prefix are contiguous: a token change between
+    Rows are sorted lexicographically (a pad sorts after every real token),
+    so rows sharing a prefix are contiguous: a token change between
     neighbours starts a node, and node ids come out breadth-first with each
     level in path order. Repeated and prefix rows are kept for validation.
     """
@@ -139,16 +139,14 @@ class _Trie:
     leaf: np.ndarray  # (n,) node where each sorted row ends
 
     @classmethod
-    def build(cls, k: int, paths: np.ndarray, length: np.ndarray | None = None) -> "_Trie":
-        """The trie of paths whose tokens before each row's first pad lie in [0, k).
+    def build(cls, k: int, paths: np.ndarray, length: np.ndarray) -> "_Trie":
+        """The trie of paths in [0, k] that keep the pad-suffix rule.
 
-        length, if given, is _real_lengths(k, paths).
+        length is each row's count of tokens before its first pad.
         """
         n, depth = paths.shape
-        if length is None:
-            length = _real_lengths(k, paths)
         # the smallest dtype holding k lets lexsort take its radix path
-        rows = np.where(np.arange(depth) < length[:, None], paths, k).astype(np.min_scalar_type(k))
+        rows = paths.astype(np.min_scalar_type(k), copy=False)
         order = np.lexsort(rows.T[::-1]) if depth else np.arange(n)
         rows, length = rows[order], length[order]
         node = np.zeros(n, dtype=np.int64)  # each row's node at the current level
@@ -196,7 +194,7 @@ class _Trie:
         off = split[par] & ((kid_size < lo[par]) | (kid_size > lo[par] + 1))
         # siblings are contiguous and ascending, so a leaf group of n uses
         # ordinals 0..n-1 when it has n children, each numbered by its place
-        gap = ~split[par] & (tok != np.arange(par.size) - np.searchsorted(par, par))
+        gap = ~split[par] & (tok != np.arange(par.size) - (np.cumsum(n_kids) - n_kids)[par])
         deep = ~split[par] & (n_kids[1:] > 0)  # the children of a leaf group are leaves
         bad = (n_kids > 0) & np.where(split, n_kids != k, n_kids != self.size)
         bad[par[off | gap | deep]] = True
@@ -229,12 +227,6 @@ class _Trie:
             item = self.order[self.leaf == stop][0]
             violations.append(f"path of item {item} is a prefix of another path")
         return violations
-
-
-def _real_lengths(k: int, paths: np.ndarray) -> np.ndarray:
-    """Tokens before each row's first pad."""
-    is_pad = paths == k
-    return np.where(is_pad.any(axis=1), is_pad.argmax(axis=1), paths.shape[1])
 
 
 @dataclass(frozen=True)
@@ -299,7 +291,7 @@ class IdentifierTree:
         if violations:
             raise TreeStructureError("; ".join(violations))
         n_nodes = trie.parent.size
-        child_start = np.searchsorted(trie.parent, np.arange(n_nodes + 1))
+        child_start = np.cumsum(np.bincount(trie.parent + 1, minlength=n_nodes + 1))  # the root counts at -1
         node_item = np.full(n_nodes, -1, dtype=np.int32)
         node_item[trie.leaf] = trie.order
         leaf_of_item = np.empty(n_items, dtype=np.int32)
@@ -346,9 +338,10 @@ def _checked_trie(k: int, depth: int, paths) -> tuple[list[str], _Trie | None]:
         return [f"token {paths[i, j]} out of range at item {i}, position {j}"], None
 
     violations = []
-    length = _real_lengths(k, paths)
+    pads = np.equal(paths.T, k, order="C")  # (depth, n): each reduction runs down whole columns
     # A real token after a pad breaks the suffix rule.
-    resumed = ((np.arange(depth) > length[:, None]) & (paths != k)).any(axis=1)
+    resumed = (pads[:-1] > pads[1:]).any(axis=0)
+    length = depth - pads.sum(axis=0)  # tokens before the first pad, where the rule holds
     if resumed.any():
         violations.append(f"item {np.argmax(resumed)} has a non-pad token after a pad token")
     if ((length == 0) & ~resumed).any():

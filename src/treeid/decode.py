@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import IdentifierTree
 
-_CELLS = 40_000  # (query, beam, child) cells per search: a dot scorer's gather stays a few MB
+_CELLS = 20_000  # (query, beam, child) cells per search: a dot scorer's gather stays about 2.5 MB
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,9 @@ def beam_search_batch(
     Each query's beam is a row of node ids (-1: empty) in path order. A leaf
     slot stands for itself in the pool and a live slot for its children, so
     the pool is in path order too: its best scores, ties taken leftmost, are
-    the best by (-score, path).
+    the best by (-score, path). Each level partitions every pool row at its
+    b-th best key; only rows holding more than b keys no worse than that cut
+    (ties at the cut, or empty slots) count their tied slots from the left.
     """
     b = cfg.beam_width
     chunk = max(1, _CELLS // (b * min(t.k, t.n_items)))
@@ -79,7 +81,7 @@ def beam_search_batch(
     for lo in range(0, len(contexts), chunk):
         ctx = contexts[lo : lo + chunk]
         node = np.zeros((len(ctx), 1), dtype=np.int64)
-        score = np.zeros((len(ctx), 1))
+        score = key = np.zeros((len(ctx), 1))
         while True:
             child = t.children(node)  # a leaf's and an empty slot's rows are all -1
             live = child[..., 0] >= 0
@@ -88,24 +90,42 @@ def beam_search_batch(
             raw = np.asarray(scorer(ctx, child), dtype=np.float64)
             if raw.shape != child.shape:
                 raise ScorerContractError(f"scorer returned shape {raw.shape}, not {child.shape}")
-            if not np.isfinite(raw[child >= 0]).all():
+            if not np.isfinite(raw).all() and not np.isfinite(raw[child >= 0]).all():
                 raise ScorerContractError("scorer returned a non-finite score")
-            child[..., 0] = np.where(live, child[..., 0], node)
-            score = np.where(live[..., None], score[..., None] + raw, score[..., None])
+            if live.all():
+                score = score[..., None] + raw
+            else:
+                child[..., 0] = np.where(live, child[..., 0], node)
+                score = np.where(live[..., None], score[..., None] + raw, score[..., None])
             node, score = child.reshape(len(ctx), -1), score.reshape(len(ctx), -1)
             key = np.where(node >= 0, -score, np.inf)
             if key.shape[1] > b:
-                cut = np.partition(key, b - 1, axis=1)[:, b - 1 : b]
-                room = b - (key < cut).sum(axis=1, keepdims=True)
-                keep = (key < cut) | ((key == cut) & (np.cumsum(key == cut, axis=1) <= room))
-                cols = np.nonzero(keep)[1].reshape(len(ctx), b)
-                node, score = np.take_along_axis(node, cols, 1), np.take_along_axis(score, cols, 1)
-        order = np.argsort(np.where(node >= 0, -score, np.inf), axis=1, kind="stable")
-        node = np.take_along_axis(node, order[:, : cfg.top_n], 1)
-        score = np.take_along_axis(score, order[:, : cfg.top_n], 1)
-        for n, s in zip(node, score):
-            ranked.append(list(zip(t.node_item[n[n >= 0]].tolist(), s.tolist())))
+                at = _best_slots(key, b)
+                node, score, key = node.take(at), score.take(at), key.take(at)
+        at = np.argsort(key, axis=1, kind="stable")[:, : cfg.top_n]
+        at += np.arange(len(ctx))[:, None] * key.shape[1]
+        node = node.take(at)  # every slot is a leaf or empty (-1)
+        item = np.where(node >= 0, t.node_item[node], -1).tolist()
+        for i, s in zip(item, score.take(at).tolist()):
+            ranked.append([(j, x) for j, x in zip(i, s) if j >= 0])
     return ranked
+
+
+def _best_slots(key: np.ndarray, b: int) -> np.ndarray:
+    """Per row, the b smallest keys, ties taken leftmost: flat positions, (rows, b), ascending.
+
+    A row with exactly b keys at or below its b-th smallest is settled: those
+    are the b best. Only the other rows (ties at the cut, or inf padding)
+    take their tied keys from the left, up to b in all.
+    """
+    cut = np.partition(key, b - 1, axis=1)[:, b - 1 : b]
+    keep = key <= cut
+    tied = keep.sum(axis=1) != b
+    if tied.any():
+        key, cut = key[tied], cut[tied]
+        room = b - (key < cut).sum(axis=1, keepdims=True)
+        keep[tied] = (key < cut) | ((key == cut) & (np.cumsum(key == cut, axis=1) <= room))
+    return np.flatnonzero(keep).reshape(len(keep), b)
 
 
 def dot_scorer(node_embs: np.ndarray, t: IdentifierTree):
@@ -122,7 +142,7 @@ def dot_scorer(node_embs: np.ndarray, t: IdentifierTree):
         q = np.asarray(context, dtype=np.float64)
         if q.ndim != 2 or q.shape[1] != dim:
             raise ValueError(f"query shape {q.shape} does not match node embedding dim {dim}")
-        return (node_embs[child] @ q[:, None, :, None])[..., 0]
+        return (np.take(node_embs, child, axis=0) @ q[:, None, :, None])[..., 0]
 
     # scorer calls batch, not itself: a self-referencing closure is a cycle
     # that keeps node_embs alive until the cyclic garbage collector runs

@@ -224,9 +224,10 @@ def _canonical_tree(text: str):
         return None
     if longest > 1 and ((length > 1) & (digit[last - length + 1] == 0)).any():  # a leading zero
         return None
-    paths = digit[last].astype(np.int64)
+    wide = np.int32 if longest <= 9 else np.int64  # 9 digits stay below 2**31
+    paths = digit[last].astype(wide)
     for j in range(1, longest):
-        paths += np.where(length > j, digit[last - j], np.uint8(0)) * np.int64(10**j)
+        paths += np.where(length > j, digit[last - j], np.uint8(0)) * wide(10**j)
     return {"format": TREE_FORMAT, "k": k, "depth": depth, "n_items": n_items, "pad_token": pad,
             "paths": paths}
 
@@ -242,7 +243,8 @@ def read_tree(source) -> IdentifierTree:
     try:
         with _opened(source, "r") as f:
             text = f.read()
-        doc = _canonical_tree(text) or json.loads(text)
+        canonical = _canonical_tree(text)
+        doc = canonical or json.loads(text)
     # ValueError covers undecodable bytes, malformed JSON and integers of over 4,300 digits
     except (ValueError, RecursionError) as e:
         raise TreeFormatError(f"invalid JSON: {e}") from e
@@ -265,8 +267,9 @@ def read_tree(source) -> IdentifierTree:
         raise TreeFormatError(
             f"paths shape {paths.shape} does not match n_items={n_items}, depth={depth}"
         )
-    # booleans among integers infer an integer dtype, and need the literals
-    literal = "true" in text or "false" in text
+    # booleans among integers infer an integer dtype, and need the literals,
+    # which canonical text cannot hold
+    literal = canonical is None and ("true" in text or "false" in text)
     if literal and any(type(x) is bool for row in doc["paths"] for x in row):
         raise TreeFormatError("paths must hold JSON integers, got a boolean")
     try:
@@ -304,11 +307,10 @@ def write_bench_rows(rows, sink):
 def write_ranking(results, sink):
     """Ranking CSV: query,rank,item,score rows for every query's result list."""
     with _opened(sink, "w") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["query", "rank", "item", "score"])
-        for qid, ranked in enumerate(results):
-            for rank, (item, score) in enumerate(ranked, start=1):
-                w.writerow([qid, rank, item, _fmt(float(score))])
+        f.write("query,rank,item,score\n")
+        for qid, ranked in enumerate(results):  # csv.writer's bytes: no field needs quotes
+            f.write("".join([f"{qid},{rank},{item},{float(score):.6g}\n"
+                             for rank, (item, score) in enumerate(ranked, start=1)]))
 
 
 def _int_rows(reader, n: int, name: str):
@@ -326,14 +328,24 @@ def _int_rows(reader, n: int, name: str):
 
 
 def read_ranking(source) -> dict[int, list[int]]:
-    """Read a ranking CSV back into query -> ordered item list."""
+    """Read a ranking CSV back into query -> ordered item list.
+
+    A query may list each rank and each item once; a repeat names its line.
+    """
     per_query: dict[int, list[tuple[int, int]]] = {}
+    seen: set[tuple[int, str, int]] = set()
     with _opened_text(source, FileFormatError, "ranking CSV") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None or header[:3] != ["query", "rank", "item"]:
             raise FileFormatError("ranking CSV must start with header query,rank,item[,score]")
         for q, rank, item in _int_rows(reader, 3, "ranking CSV"):
+            for key in ((q, "rank", rank), (q, "item", item)):
+                if key in seen:
+                    raise FileFormatError(
+                        f"ranking CSV line {reader.line_num}: query {q} lists {key[1]} {key[2]} twice"
+                    )
+                seen.add(key)
             per_query.setdefault(q, []).append((rank, item))
     return {q: [item for _, item in sorted(pairs)] for q, pairs in per_query.items()}
 

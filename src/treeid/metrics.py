@@ -33,7 +33,9 @@ def check_cutoffs(cutoffs) -> None:
         seen.add(k)
 
 
-def _check(relevant, k):
+def _check(recommended, relevant, k):
+    if len(set(recommended)) != len(recommended):
+        raise ValueError("recommended list repeats an item")
     relevant = set(relevant)
     if not relevant:
         raise ValueError("relevant set must be non-empty")
@@ -43,20 +45,20 @@ def _check(relevant, k):
 
 def recall_at_k(recommended, relevant, k: int) -> float:
     """Fraction of the relevant items found in the top-k recommendations."""
-    relevant = _check(relevant, k)
+    relevant = _check(recommended, relevant, k)
     hits = sum(1 for item in recommended[:k] if item in relevant)
     return hits / len(relevant)
 
 
 def hit_at_k(recommended, relevant, k: int) -> float:
     """1.0 when any relevant item appears in the top k, else 0.0."""
-    relevant = _check(relevant, k)
+    relevant = _check(recommended, relevant, k)
     return 1.0 if any(item in relevant for item in recommended[:k]) else 0.0
 
 
 def ndcg_at_k(recommended, relevant, k: int) -> float:
     """Binary-relevance NDCG at cutoff k."""
-    relevant = _check(relevant, k)
+    relevant = _check(recommended, relevant, k)
     dcg = sum(
         1.0 / np.log2(rank + 1.0)
         for rank, item in enumerate(recommended[:k], start=1)

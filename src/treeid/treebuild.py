@@ -30,6 +30,10 @@ from .core import IdentifierTree, TreeBuildConfig, check_embeddings
 # root split's.
 STACK_ROWS = 1 << 15
 
+# Parents per block of node_embeddings: a block's temporaries stay near
+# 130 KB at dim 16, where whole-level temporaries raised a decode's peak RSS.
+NODE_BLOCK = 1024
+
 
 class InvalidEmbeddingsError(ValueError):
     """Input embeddings failed check_embeddings; the message names the violation."""
@@ -151,17 +155,19 @@ def node_embeddings(t: IdentifierTree, X) -> np.ndarray:
     sums[t.leaf_of_item] = pts  # exact widening to float64
     counts[t.leaf_of_item] = 1
 
-    # Deepest level first; bincount adds each parent's children in id order
-    # from zero, the order of a sequential per-child accumulation. Node ids
-    # are breadth-first, so each depth is one contiguous id range.
-    first = np.searchsorted(t.node_depth, np.arange(int(t.node_depth.max()) + 2))
-    for d in range(len(first) - 2, 0, -1):
-        lo, hi = first[d], first[d + 1]
-        parent = t.parent[lo:hi]
-        step = np.diff(parent, prepend=-1) != 0  # parents never decrease
-        par, slot = parent[step], np.cumsum(step) - 1
-        for c in range(dim):  # one column at a time keeps the temporaries small
-            sums[par, c] = np.bincount(slot, weights=sums[lo:hi, c], minlength=par.size)
-        counts[par] = np.bincount(slot, weights=counts[lo:hi], minlength=par.size)
+    # Parents deepest level first, in blocks of NODE_BLOCK: each block adds
+    # its children slot by slot into its own rows, so every sum starts from
+    # +0.0 and takes the children in id order, and no temporary is larger
+    # than a block. Node ids are breadth-first, so each depth is one
+    # contiguous id range and a parent's children are done before it.
+    first = np.searchsorted(t.node_depth, np.arange(int(t.node_depth.max()) + 1))
+    for d in range(len(first) - 2, -1, -1):
+        for a in range(first[d], first[d + 1], NODE_BLOCK):
+            b = min(a + NODE_BLOCK, first[d + 1])
+            lo, hi = t.child_start[a:b], t.child_start[a + 1 : b + 1]
+            for j in range(int((hi - lo).max())):
+                kid, real = lo + j, lo + j < hi  # a leaf or a smaller leaf group takes nothing
+                np.add(sums[a:b], sums.take(kid, axis=0, mode="clip"), out=sums[a:b], where=real[:, None])
+                np.add(counts[a:b], counts.take(kid, mode="clip"), out=counts[a:b], where=real)
     sums /= counts[:, None]
     return sums

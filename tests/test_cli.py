@@ -275,6 +275,25 @@ def test_eval_bad_rows_exit_2(tmp_path, capsys, ranking, truth):
     assert "line 2: " in err
 
 
+@pytest.mark.parametrize(
+    "ranking, message",
+    [
+        ("query,rank,item\n0,1,5\n0,2,5\n", "line 3: query 0 lists item 5 twice"),
+        ("query,rank,item\n0,1,5\n1,1,5\n0,1,6\n", "line 4: query 0 lists rank 1 twice"),
+    ],
+)
+def test_eval_refuses_repeats_within_a_query(tmp_path, capsys, ranking, message):
+    (tmp_path / "runs.csv").write_text(ranking)
+    (tmp_path / "truth.csv").write_text("query,item\n0,5\n1,5\n")
+    code, _, err = invoke(
+        capsys, "eval", "--runs", str(tmp_path / "runs.csv"), "--truth", str(tmp_path / "truth.csv"),
+        "--out", str(tmp_path / "eval.csv"),
+    )
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "eval.csv").exists()
+
+
 def test_module_entry_point_runs(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)

@@ -4,6 +4,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from treeid import decode
 from treeid import io as tio
@@ -347,3 +350,51 @@ class TestNoCyclicGarbage:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def partition_cumsum_slots(key, b):
+    """The b smallest keys per row, ties taken leftmost, by one partition and a
+    cumsum over every row: the selection rule, as column indices per row."""
+    cut = np.partition(key, b - 1, axis=1)[:, b - 1 : b]
+    room = b - (key < cut).sum(axis=1, keepdims=True)
+    keep = (key < cut) | ((key == cut) & (np.cumsum(key == cut, axis=1) <= room))
+    return np.nonzero(keep)[1].reshape(len(key), b)
+
+
+@st.composite
+def pool_keys(draw):
+    """(key, b): small-integer keys that tie often, some slots inf (empty), b < width."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(2, 40))
+    value = st.integers(-3, 3).map(float) | st.just(np.inf)
+    return draw(arrays(np.float64, (rows, width), elements=value)), draw(st.integers(1, width - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_keys())
+def test_best_slots_follow_the_tie_rule(case):
+    key, b = case
+    got = decode._best_slots(key, b)
+    assert got.shape == (len(key), b)
+    assert np.array_equal(got, partition_cumsum_slots(key, b) + np.arange(len(key))[:, None] * key.shape[1])
+
+
+def test_best_slots_settled_and_tied_rows_together():
+    key = np.array([[3.0, 1.0, 2.0, 0.0], [1.0, 1.0, 1.0, 0.0], [np.inf, 2.0, np.inf, np.inf]])
+    assert decode._best_slots(key, 2).tolist() == [[1, 3], [4, 7], [8, 9]]
+
+
+def test_constant_scorer_keeps_the_leftmost_slots(monkeypatch):
+    # every child scores the same, so each pool wider than the beam ties in
+    # every slot: only the tie rule picks, and it keeps the first paths
+    t = IdentifierTree.from_paths(4, [[i // 16, i // 4 % 4, i % 4] for i in range(64)])
+    widths = []
+
+    def spying(key, b):
+        widths.append(key.shape[1])
+        return best(key, b)
+
+    best = decode._best_slots
+    monkeypatch.setattr(decode, "_best_slots", spying)
+    got = beam_search_batch(t, lambda _, child: np.full(child.shape, 0.25), np.zeros(3), BeamConfig(6, 4))
+    assert widths == [16, 24]
+    assert got == [[(i, 0.75) for i in range(4)]] * 3

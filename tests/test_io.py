@@ -1,3 +1,4 @@
+import csv
 import io as stdio
 import json
 import re
@@ -510,6 +511,54 @@ class TestRankingCsv:
     def test_bad_rows_name_their_line(self, reader, text, line):
         with pytest.raises(tio.FileFormatError, match=f" line {line}: "):
             reader(stdio.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("query,rank,item\n0,1,5\n0,2,5\n", "line 3: query 0 lists item 5 twice"),
+            ("query,rank,item\n0,1,5\n0,1,6\n", "line 3: query 0 lists rank 1 twice"),
+            ("query,rank,item\n0,1,5\n1,1,5\n2,2,7\n0,1,6\n", "line 5: query 0 lists rank 1 twice"),
+        ],
+    )
+    def test_repeats_within_a_query_name_their_line(self, text, message):
+        with pytest.raises(tio.FileFormatError, match=f"^ranking CSV {message}$"):
+            tio.read_ranking(stdio.StringIO(text))
+
+    def test_ranks_and_items_repeat_across_queries(self):
+        text = "query,rank,item\n0,1,5\n1,1,5\n0,2,6\n1,2,6\n"
+        assert tio.read_ranking(stdio.StringIO(text)) == {0: [5, 6], 1: [5, 6]}
+
+
+def csv_writer_ranking(results) -> str:
+    """The ranking CSV as csv.writer wrote it, each score through _fmt(float(score))."""
+    buf = stdio.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["query", "rank", "item", "score"])
+    for qid, ranked in enumerate(results):
+        for rank, (item, score) in enumerate(ranked, start=1):
+            w.writerow([qid, rank, item, f"{float(score):.6g}"])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "results",
+    [
+        [],
+        [[]],
+        [[], [(3, 1.0)], []],
+        [[(4, -0.0), (2, 0.0), (7, 5e-324), (1, 2.225e-308 / 3), (0, -1e-310)]],
+        [[(1, 1e300), (0, -1e300), (5, 1.7976931348623157e308), (6, -123456789.0)]],
+        [[(3, np.float32(0.1)), (5, np.float32(-3.4e38)), (6, np.float32(1e-45))]],
+        [[(np.int64(9), 7), (np.int32(8), np.int64(-3)), (2, True), (11, np.uint8(255))]],
+        [[(i, 1 / (i + 1)) for i in range(25)], [], [(i, -i * 0.3) for i in range(3)]],
+    ],
+)
+def test_write_ranking_bytes_match_csv_writer(tmp_path, results):
+    buf = stdio.StringIO()
+    tio.write_ranking(results, buf)
+    assert buf.getvalue() == csv_writer_ranking(results)
+    tio.write_ranking(results, tmp_path / "ranking.csv")
+    assert (tmp_path / "ranking.csv").read_bytes() == csv_writer_ranking(results).encode()
 
 
 @pytest.mark.parametrize(

@@ -128,3 +128,16 @@ def test_metric_ranges_and_monotonicity(data):
 def test_report_value_lookup():
     rep = EvalReport(values={("recall", 20): 0.5}, n_users=3)
     assert rep.value("recall", 20) == 0.5
+
+
+@pytest.mark.parametrize("metric", [recall_at_k, hit_at_k, ndcg_at_k])
+@pytest.mark.parametrize("recommended, k", [([5, 5], 2), ([5, 6, 5], 1)])
+def test_repeated_item_refused(metric, recommended, k):
+    # counted twice, item 5 would read recall 2 and ndcg 1.63 against {5}
+    with pytest.raises(ValueError, match="repeats an item"):
+        metric(recommended, {5}, k)
+
+
+def test_repeated_item_names_its_user():
+    with pytest.raises(ValueError, match="user 1: recommended list repeats an item"):
+        evaluate_run([([1, 2], {1}), ([3, 3], {3})], cutoffs=(1,))

@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from treeid import io as tio
 from treeid import treebuild
@@ -251,6 +252,61 @@ def test_node_embeddings_bit_identical_to_sequential_sums():
         X = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 4)
         t = rand_tree(rng, n, k)
         assert np.array_equal(node_embeddings(t, X), loop_node_embeddings(t, X))
+
+
+def per_node_embeddings(t, X):
+    """Each node on its own: a leaf's row, else a sum from +0.0 over its
+    children in id order divided by its leaf count; the reference bits."""
+    pts = np.asarray(X, dtype=np.float64)
+    sums, counts = [None] * t.n_nodes, [0] * t.n_nodes
+    for v in range(t.n_nodes - 1, -1, -1):  # children have larger ids than their parent
+        kids = range(t.child_start[v], t.child_start[v + 1])
+        if not kids:
+            sums[v], counts[v] = pts[t.node_item[v]], 1
+            continue
+        sums[v] = np.zeros(pts.shape[1])
+        for c in kids:
+            sums[v] = sums[v] + sums[c]
+            counts[v] += counts[c]
+    return np.array([s / c for s, c in zip(sums, counts)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from([2, 8, 32]),
+    n=st.integers(1, 1100),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+# each tree has pads and leaf groups of 1 and 2 items: above k**2 items, a
+# level-1 group of k stops a level before a group of k + 1
+@example(k=2, n=5, dim=2, seed=2, data=None)
+@example(k=8, n=65, dim=2, seed=0, data=None)
+@example(k=32, n=1030, dim=1, seed=1, data=None)
+def test_node_embeddings_bits_match_per_node_sums(k, n, dim, seed, data):
+    # signed zeros, subnormals and magnitudes up to 1e300, whose sums overflow
+    t = rand_tree(np.random.default_rng(seed), n, k)
+    value = st.sampled_from([0.0, -0.0, 1e300, -1e300]) | st.floats(-1e300, 1e300)
+    if data is None:
+        X = np.random.default_rng(seed).choice([0.0, -0.0, 1e300, -1e300, 5e-324, 1.5], size=(n, dim))
+    else:
+        X = data.draw(arrays(np.float64, (n, dim), elements=value))
+    assert node_embeddings(t, X).tobytes() == per_node_embeddings(t, X).tobytes()
+
+
+def test_node_embeddings_peak_memory():
+    # the output is 3.2 MB; the per-level bincount version peaked at
+    # 3,747,259 bytes on this tree, the blocked sums must not exceed it
+    X = np.random.default_rng(60).normal(size=(20_000, 16)).astype(np.float32)
+    t = build_tree(X, TreeBuildConfig(k=8, method="greedy", seed=1, lloyd_max_iters=5))
+    tracemalloc.start()
+    try:
+        node_embeddings(t, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_747_259, peak
 
 
 def loop_build(X, cfg):
