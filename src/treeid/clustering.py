@@ -4,10 +4,11 @@ All operations are pure functions of (points, config, seed) and single
 threaded, so results never depend on a worker count. Points are (n, d)
 arrays, promoted to float64 for the math.
 
-kmeanspp_init, lloyd, greedy_assign and cluster_level also take a (G, n, d)
-stack of G equal-size groups and treat every group exactly as a separate
-(n, d) call would, bit for bit: a 2-D call is the G = 1 case. Only the
-scalar random draws, Lloyd's reseeds and the exact solves loop over groups.
+Every step also takes a (G, n, d) stack of G equal-size groups and treats
+every group exactly as a separate (n, d) call would, bit for bit: a 2-D
+call is the G = 1 case. Only the scalar random draws, Lloyd's reseeds and
+the exact solves loop over groups. Lloyd and the exact alternation share
+one mean step, and every distance matrix comes from pairwise_sqdist.
 
 The functions that measure distances accept pt_norms, the squared point
 norms (pts * pts).sum(axis=-1); cluster_level computes them once per split
@@ -26,7 +27,8 @@ import math
 import numpy as np
 
 from .core import CapacityBounds, ClusterAssignment, TreeBuildConfig, balanced_bounds
-from .mincostflow import COST_BUDGET, CostOverflowError, TransportInstance, check_bounds, solve_balanced_transport
+from .mincostflow import COST_BUDGET, CostOverflowError, InvalidStartError, TransportInstance
+from .mincostflow import check_bounds, solve_balanced_transport
 
 log = logging.getLogger(__name__)
 
@@ -48,18 +50,14 @@ def distance_eval_count() -> int:
     return _dist_evals
 
 
-def _as_points(X) -> np.ndarray:
-    pts = np.asarray(X, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError(f"points must be 2-D, got ndim={pts.ndim}")
-    return pts
-
-
 def _as_stack(X) -> tuple[np.ndarray, bool]:
     """(G, n, d) float64 points, and whether X was a single (n, d) group."""
-    if np.ndim(X) != 3:
-        return _as_points(X)[None], True
-    return np.asarray(X, dtype=np.float64), False
+    pts = np.asarray(X, dtype=np.float64)
+    if pts.ndim == 3:
+        return pts, False
+    if pts.ndim != 2:
+        raise ValueError(f"points must be 2-D, got ndim={pts.ndim}")
+    return pts[None], True
 
 
 def _rngs(seed, single: bool, groups: int) -> list:
@@ -116,7 +114,6 @@ def kmeanspp_init(X, k: int, seed, pt_norms: np.ndarray | None = None) -> np.nda
         raise ValueError(f"cannot draw k={k} centroids from {n} points")
     rngs = _rngs(seed, single, groups)
 
-    global _dist_evals
     rows = np.arange(groups)
     norms = _norms(pts, pt_norms)
     chosen = np.empty((groups, k), dtype=np.int64)
@@ -126,12 +123,7 @@ def kmeanspp_init(X, k: int, seed, pt_norms: np.ndarray | None = None) -> np.nda
     d2 = np.full((groups, n), np.inf)
     for c in range(1, k):
         last = pts[rows, chosen[:, c - 1]]
-        _dist_evals += groups * n
-        to_last = (pts @ last[:, :, None])[:, :, 0]
-        to_last *= -2.0
-        to_last += norms
-        to_last += (last[:, None, :] @ last[:, :, None])[:, :, 0]
-        np.minimum(d2, np.maximum(to_last, 0.0, out=to_last), out=d2)
+        np.minimum(d2, pairwise_sqdist(pts, last[:, None, :], norms)[:, :, 0], out=d2)
         d2[rows, chosen[:, c - 1]] = 0.0  # earlier picks are already 0 and stay so
         total = d2.sum(axis=1)
         idx = np.argmin(taken, axis=1)
@@ -170,10 +162,7 @@ def lloyd(
     For a (G, n, d) stack, init is (G, k, d), the result is (G, k, d), and
     each group stops on its own. pt_norms is as in pairwise_sqdist.
     """
-    pts, single = _as_stack(X)
-    cents = np.array(init, dtype=np.float64, copy=True)
-    if single:
-        cents = cents[None]
+    (pts, single), cents = _as_stack(X), _as_stack(init)[0].copy()
     groups, n, _ = pts.shape
     k = cents.shape[1]
     if k > n:
@@ -185,15 +174,13 @@ def lloyd(
     # the groups still iterating, compacted whenever some of them stop
     live = np.arange(groups)
     p, nrm, c, r = pts, norms, cents, reach
-    onehot = np.zeros((groups, n, k))  # cleared again after every mean step
-    cell = np.arange(groups * n).reshape(groups, n) * k
+    onehot = np.zeros((groups, n, k))
     for _ in range(max_iters):
         d2 = None
         labels = _certified_labels(p, c, r)
         if labels is None:
             d2 = pairwise_sqdist(p, c, nrm)
             labels = np.argmin(d2, axis=2)
-        hot = cell[: live.size] + labels  # flat one-hot index of every item
         per_group = labels + k * np.arange(live.size)[:, None]
         sizes = np.bincount(per_group.ravel(), minlength=live.size * k).reshape(live.size, k)
         reseed = ~sizes.all(axis=1)
@@ -209,11 +196,8 @@ def lloyd(
         elif d2 is None:
             _dist_evals += labels.size * k  # the certified step's distances, counted once
 
-        # one-hot matmul computes all k means in two vector ops; a group that
-        # just reseeded keeps its centroids and skips this step
-        onehot.reshape(-1)[hot.ravel()] = 1.0
-        new_cents = (onehot[: live.size].swapaxes(1, 2) @ p) / np.maximum(sizes, 1)[:, :, None]
-        onehot.reshape(-1)[hot.ravel()] = 0.0
+        # a group that just reseeded keeps its centroids and skips this step
+        new_cents = _mean_step(p, labels, sizes, onehot)
         done = np.sqrt(((new_cents - c) ** 2).sum(axis=2)).max(axis=1) / np.maximum(1.0, r) < tol
         new_cents[reseed] = c[reseed]
         done &= ~reseed
@@ -226,6 +210,22 @@ def lloyd(
                 break
     cents[live] = c
     return cents[0] if single else cents
+
+
+def _mean_step(p: np.ndarray, labels: np.ndarray, sizes: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    """The (G, k, d) cluster means of a (G, n, d) stack, all in one one-hot matmul.
+
+    sizes holds the (G, k) label counts; an empty cluster's mean is 0. onehot is a
+    zeroed scratch array of at least G groups of (n, k), zeroed again on return.
+    """
+    groups, n = labels.shape
+    k = onehot.shape[2]
+    hot = labels.ravel() + np.arange(0, groups * n * k, k)  # flat one-hot index of every item
+    flat = onehot.reshape(-1)
+    flat[hot] = 1.0
+    means = (onehot[:groups].swapaxes(1, 2) @ p) / np.maximum(sizes, 1)[:, :, None]
+    flat[hot] = 0.0
+    return means
 
 
 def _certified_labels(p: np.ndarray, c: np.ndarray, reach: np.ndarray) -> np.ndarray | None:
@@ -294,18 +294,27 @@ def constrained_assign(
     assignment such as the previous iterate's, is handed to the solver to
     re-solve from; it never changes the result. pt_norms is as in
     pairwise_sqdist.
+
+    For a (G, n, d) stack, centroids is (G, k, d), start (G, n), and the
+    result is stacked as in greedy_assign. The distances come from one
+    stacked pairwise_sqdist; each group is then discretized at its own scale
+    and solved on its own.
     """
-    pts = _as_points(X)
-    cents = np.asarray(centroids, dtype=np.float64)
-    d2 = pairwise_sqdist(pts, cents, pt_norms)
-    inst = TransportInstance(_discretize(d2), bounds)
-    assign, _ = solve_balanced_transport(inst, start=start)
-    n, k = d2.shape
-    return ClusterAssignment(
+    (pts, single), (cents, _) = _as_stack(X), _as_stack(centroids)
+    groups, n, _ = pts.shape
+    if start is not None and not single and np.shape(start) != (groups, n):
+        raise InvalidStartError(f"a stacked start must have shape ({groups}, {n}), got {np.shape(start)}")
+    # a 2-D call's start goes to the solver as it is, and the solver checks its shape
+    starts = [None] * groups if start is None else [start] if single else start
+    d2 = pairwise_sqdist(pts, cents, _norms(pts, pt_norms))
+    insts = (TransportInstance(_discretize(group), bounds) for group in d2)
+    assign = np.stack([solve_balanced_transport(inst, start=s)[0] for inst, s in zip(insts, starts)])
+    a = ClusterAssignment(
         cluster_of=assign,
-        sizes=np.bincount(assign, minlength=k).astype(np.int64),
-        cost=float(d2[np.arange(n), assign].sum()),
+        sizes=np.stack([np.bincount(labels, minlength=cents.shape[1]) for labels in assign]),
+        cost=np.take_along_axis(d2, assign[:, :, None], axis=2)[:, :, 0].sum(axis=1),
     )
+    return _unstack(a) if single else a
 
 
 def greedy_assign(
@@ -325,10 +334,7 @@ def greedy_assign(
     every group that still has a deficit at each step. pt_norms is as in
     pairwise_sqdist.
     """
-    pts, single = _as_stack(X)
-    cents = np.asarray(centroids, dtype=np.float64)
-    if single:
-        cents = cents[None]
+    (pts, single), (cents, _) = _as_stack(X), _as_stack(centroids)
     groups, n, _ = pts.shape
     k = cents.shape[1]
     m, big = bounds.min_size, bounds.max_size
@@ -411,30 +417,6 @@ def _top_up(d2: np.ndarray, assign: np.ndarray, loads: np.ndarray, own: np.ndarr
         live = live[(loads[g] < m).any(axis=1)]
 
 
-def update_centroids(X, a: ClusterAssignment, k: int, prev: np.ndarray | None = None) -> np.ndarray:
-    """Mean step: centroid j becomes the mean of its items.
-
-    An empty cluster keeps its previous centroid, which the caller must then
-    supply via prev.
-    """
-    pts = _as_points(X)
-    # a stable sort keeps each cluster's rows in index order, so every sum
-    # equals pts[cluster_of == j].sum(axis=0) bit for bit
-    grouped = pts[np.argsort(a.cluster_of, kind="stable")]
-    ends = np.cumsum(np.bincount(a.cluster_of, minlength=k)[:k]).tolist()
-    cents = np.empty((k, pts.shape[1]), dtype=np.float64)
-    start = 0
-    for j, end in enumerate(ends):
-        if end > start:
-            cents[j] = np.add.reduce(grouped[start:end], axis=0) / (end - start)
-        elif prev is not None:
-            cents[j] = prev[j]
-        else:
-            raise ValueError(f"cluster {j} is empty and no previous centroids were given")
-        start = end
-    return cents
-
-
 def cluster_level(X, cfg: TreeBuildConfig, rng=None) -> ClusterAssignment:
     """One balanced k-way split of a group, dispatching on the configured method.
 
@@ -451,7 +433,9 @@ def cluster_level(X, cfg: TreeBuildConfig, rng=None) -> ClusterAssignment:
 
     X may be a (G, n, d) stack of equal-size groups; rng is then a sequence
     of G generators, one per group, and the result is stacked as in
-    greedy_assign. The exact backend solves the groups one at a time.
+    greedy_assign. The exact backend alternates on the whole stack, and a
+    group leaves it once its assignment stops changing; only the solves run
+    one group at a time.
     """
     pts, single = _as_stack(X)
     groups, n, _ = pts.shape
@@ -470,32 +454,32 @@ def cluster_level(X, cfg: TreeBuildConfig, rng=None) -> ClusterAssignment:
     if cfg.method == "greedy" or (cfg.method == "hybrid" and n > cfg.greedy_threshold):
         a = greedy_assign(pts, cents, bounds, pt_norms=norms)
     else:
-        splits = [_exact_split(*group, bounds, cfg.outer_max_iters) for group in zip(pts, cents, norms)]
-        a = ClusterAssignment(
-            cluster_of=np.stack([s.cluster_of for s in splits]),
-            sizes=np.stack([s.sizes for s in splits]),
-            cost=np.array([s.cost for s in splits]),
-        )
+        a = _exact_split(pts, cents, norms, bounds, cfg.outer_max_iters)
     return _unstack(a) if single else a
 
 
 def _exact_split(
     pts: np.ndarray, cents: np.ndarray, norms: np.ndarray, bounds: CapacityBounds, outer_max_iters: int
 ) -> ClusterAssignment:
-    """The constrained backend's alternation for one group, from its Lloyd centroids.
+    """The constrained backend's alternation on a (G, n, d) stack, from its Lloyd centroids.
 
-    The first solve is cold; each later one starts from the previous iterate.
+    Each group's first solve is cold; each later one starts from the group's
+    previous iterate. A group keeps its lowest-cost iterate, the first of
+    equal costs, and leaves the stack once its labels stop changing. Every
+    cluster holds at least min_size >= 1 rows, so no mean is of an empty one.
     """
-    k = cents.shape[0]
-    a = constrained_assign(pts, cents, bounds, pt_norms=norms)
-    best = a
+    best = constrained_assign(pts, cents, bounds, pt_norms=norms)
+    # the groups still alternating, compacted whenever some of them settle;
+    # best's arrays take each group's improvements in place, so labels is a copy
+    live, p, nrm, labels, sizes = np.arange(len(pts)), pts, norms, best.cluster_of.copy(), best.sizes
+    onehot = np.zeros((len(pts), pts.shape[1], cents.shape[1]))
     for _ in range(outer_max_iters - 1):
-        cents = update_centroids(pts, a, k, prev=cents)
-        nxt = constrained_assign(pts, cents, bounds, start=a.cluster_of, pt_norms=norms)
-        if nxt.cost < best.cost:
-            best = nxt
-        stable = np.array_equal(nxt.cluster_of, a.cluster_of)
-        a = nxt
-        if stable:
+        nxt = constrained_assign(p, _mean_step(p, labels, sizes, onehot), bounds, start=labels, pt_norms=nrm)
+        won = nxt.cost < best.cost[live]
+        for field in ("cluster_of", "sizes", "cost"):
+            getattr(best, field)[live[won]] = getattr(nxt, field)[won]
+        keep = (nxt.cluster_of != labels).any(axis=1)
+        live, p, nrm, labels, sizes = live[keep], p[keep], nrm[keep], nxt.cluster_of[keep], nxt.sizes[keep]
+        if not live.size:
             break
     return best

@@ -18,6 +18,14 @@ METHODS = ("constrained", "greedy", "hybrid")
 K_LIMIT = 2**31  # k < K_LIMIT, as pads equal k in an int32 path matrix
 
 
+def check_int_fields(config, *names: str) -> None:
+    """Raise ValueError naming the first of config's fields that is not a Python or numpy integer (nor a bool)."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_k(k: int, error=ValueError) -> None:
     """Raise error unless the branching factor k lies in [2, K_LIMIT)."""
     if not 2 <= k < K_LIMIT:
@@ -92,6 +100,7 @@ class TreeBuildConfig:
     outer_max_iters: int = 20
 
     def __post_init__(self):
+        check_int_fields(self, "k", "greedy_threshold", "seed", "lloyd_max_iters", "outer_max_iters")
         check_k(self.k)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IdentifierTree
+from .core import IdentifierTree, check_int_fields
 
 _CELLS = 20_000  # (query, beam, child) cells per search: a dot scorer's gather stays about 2.5 MB
 
@@ -26,6 +26,7 @@ class BeamConfig:
     top_n: int
 
     def __post_init__(self):
+        check_int_fields(self, "beam_width", "top_n")
         if not 1 <= self.top_n <= self.beam_width:
             raise ValueError(
                 f"require 1 <= top_n <= beam_width, got top_n={self.top_n}, "

@@ -123,10 +123,14 @@ def item_of(t: IdentifierTree, path) -> int | None:
 
     Accepts padded or unpadded token sequences. Any out-of-range token, a
     branch the node does not have, a real token after a pad, or a walk that
-    ends anywhere but a leaf yields None.
+    ends anywhere but a leaf yields None. Tokens must be integers: a float
+    or boolean path raises ValueError instead of being truncated.
     """
+    tokens = np.asarray(path).ravel()
+    if tokens.size and tokens.dtype.kind not in "iu":
+        raise ValueError(f"path tokens must be integers, got dtype {tokens.dtype}")
     node, seen_pad = 0, False
-    for tok in (int(x) for x in np.asarray(path).ravel()):
+    for tok in tokens.tolist():
         if tok == t.k:
             seen_pad = True
             continue

@@ -13,10 +13,9 @@ from treeid.clustering import (
     kmeanspp_init,
     lloyd,
     pairwise_sqdist,
-    update_centroids,
 )
 from treeid.core import CapacityBounds, TreeBuildConfig, balanced_bounds
-from treeid.mincostflow import CostOverflowError, InfeasibleBoundsError
+from treeid.mincostflow import CostOverflowError, InfeasibleBoundsError, InvalidStartError
 
 LINE_POINTS = np.array([[6.0], [4.0], [11.0], [20.0]])
 LINE_CENTROIDS = np.array([[0.0], [10.0]])
@@ -246,6 +245,51 @@ class TestConstrainedAssign:
         a = constrained_assign(pts, cents, CapacityBounds(6, 6))
         assert a.cluster_of.tolist() == [0] * 6 + [1] * 6
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_stack_equals_separate_calls(self, warm):
+        rng = np.random.default_rng(18)
+        n, k = 27, 4
+        pts = np.stack([rng.normal(size=(n, 3)), rng.normal(size=(n, 3)) * 1e3, np.ones((n, 3))])
+        cents = rng.normal(size=(3, k, 3))
+        bounds = balanced_bounds(n, k)
+        start = greedy_assign(pts, cents, bounds).cluster_of if warm else None
+        certified = []
+        cancel = mincostflow._cancel_cycles
+
+        def spy(*args):
+            out = cancel(*args)
+            certified.append(out is not None)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mincostflow, "_cancel_cycles", spy)
+            stacked = constrained_assign(pts, cents, bounds, start=start)
+        # warm re-solves are accepted, except on the duplicated rows, which tie
+        # every optimum and fall back to a cold solve
+        assert certified == ([True, True, False] if warm else [])
+        for g in range(3):
+            one = constrained_assign(pts[g], cents[g], bounds, start=None if start is None else start[g])
+            assert np.array_equal(stacked.cluster_of[g], one.cluster_of), g
+            assert np.array_equal(stacked.sizes[g], one.sizes), g
+            assert stacked.cost[g] == one.cost, g
+        assert stacked.cluster_of.shape == (3, n) and stacked.sizes.shape == (3, k) and stacked.cost.shape == (3,)
+
+    def test_stack_counts_every_group(self):
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(4, 60, 2))
+        cents = rng.normal(size=(4, 5, 2))
+        before = clustering.distance_eval_count()
+        constrained_assign(pts, cents, balanced_bounds(60, 5))
+        assert clustering.distance_eval_count() - before == 4 * 60 * 5
+
+    @pytest.mark.parametrize("shape", [(60,), (3, 60), (4, 59), (4, 60, 1)])
+    def test_stacked_start_of_wrong_shape(self, shape):
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(4, 60, 2))
+        cents = rng.normal(size=(4, 5, 2))
+        with pytest.raises(InvalidStartError, match=r"\(4, 60\)"):
+            constrained_assign(pts, cents, balanced_bounds(60, 5), start=np.zeros(shape, dtype=np.int64))
+
     def test_unconstrained_equals_nearest(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(30, 3))
@@ -336,44 +380,45 @@ def test_dominance_greedy_vs_constrained():
         assert g.cost >= c.cost - 1e-9
 
 
-class TestUpdateCentroids:
+def mean_step(pts, a, k):
+    """clustering._mean_step on one (n, d) group and its assignment."""
+    labels = a.cluster_of[None]
+    sizes = np.bincount(a.cluster_of, minlength=k)[None]
+    return clustering._mean_step(pts[None], labels, sizes, np.zeros((1, pts.shape[0], k)))[0]
+
+
+class TestMeanStep:
     def test_singletons(self):
         pts = np.random.default_rng(9).normal(size=(3, 2))
         a = constrained_assign(pts, pts.copy(), CapacityBounds(1, 1))
-        cents = update_centroids(pts, a, 3)
+        cents = mean_step(pts, a, 3)
         assert np.allclose(np.sort(cents, axis=0), np.sort(pts, axis=0))
 
     def test_pair_mean(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
         a = constrained_assign(pts, np.array([[1.0, 0.0]]), CapacityBounds(2, 2))
-        assert np.allclose(update_centroids(pts, a, 1), [[1.0, 0.0]])
+        assert np.allclose(mean_step(pts, a, 1), [[1.0, 0.0]])
 
     def test_matches_independent_means(self):
         rng = np.random.default_rng(10)
         pts = rng.normal(size=(40, 3))
         cents = rng.normal(size=(4, 3))
         a = constrained_assign(pts, cents, balanced_bounds(40, 4))
-        got = update_centroids(pts, a, 4)
+        got = mean_step(pts, a, 4)
         for j in range(4):
             assert np.allclose(got[j], pts[a.cluster_of == j].mean(axis=0))
 
-    def test_bit_identical_to_per_cluster_mean(self):
+    def test_scratch_is_zeroed_again(self):
         rng = np.random.default_rng(14)
-        for dim in (1, 2, 16):
-            pts = rng.normal(size=(300, dim)) * 10.0 ** rng.integers(-4, 5, size=(300, 1))
-            cents = pts[:6].copy()
-            a = constrained_assign(pts, cents, balanced_bounds(300, 6))
-            got = update_centroids(pts, a, 6)
-            for j in range(6):
-                assert np.array_equal(got[j], pts[a.cluster_of == j].mean(axis=0))
-
-    def test_empty_cluster_needs_prev(self):
-        pts = np.zeros((2, 1))
-        a = constrained_assign(pts, np.array([[0.0], [5.0]]), CapacityBounds(0, 2))
-        with pytest.raises(ValueError):
-            update_centroids(pts, a, 2)
-        prev = np.array([[0.0], [5.0]])
-        assert np.allclose(update_centroids(pts, a, 2, prev=prev)[1], [5.0])
+        pts = rng.normal(size=(2, 30, 3))
+        labels = rng.integers(0, 4, size=(2, 30))
+        sizes = np.stack([np.bincount(row, minlength=4) for row in labels])
+        onehot = np.zeros((3, 30, 4))  # room for more groups than the stack holds
+        got = clustering._mean_step(pts, labels, sizes, onehot)
+        assert not onehot.any()
+        for g in range(2):
+            for j in range(4):
+                assert np.allclose(got[g, j], pts[g][labels[g] == j].mean(axis=0))
 
 
 class TestDiscretize:
@@ -509,7 +554,7 @@ def cold_exact_split(pts, cents, bounds, outer_max_iters):
     a = constrained_assign(pts, cents, bounds)
     best = a
     for _ in range(outer_max_iters - 1):
-        cents = update_centroids(pts, a, k, prev=cents)
+        cents = mean_step(pts, a, k)
         nxt = constrained_assign(pts, cents, bounds)
         if nxt.cost < best.cost:
             best = nxt

@@ -60,6 +60,30 @@ def test_tree_config_invariants(kwargs):
         TreeBuildConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("k", 4.0),
+        ("greedy_threshold", 50.5),
+        ("seed", 1.5),
+        ("lloyd_max_iters", 3.5),
+        ("outer_max_iters", 2.5),
+        ("outer_max_iters", True),
+        ("seed", "1"),
+        ("seed", None),
+    ],
+)
+def test_tree_config_refuses_non_integer_fields(field, value):
+    kwargs = {"k": 4, field: value}
+    with pytest.raises(ValueError, match=field):
+        TreeBuildConfig(**kwargs)
+
+
+def test_tree_config_accepts_numpy_integers():
+    cfg = TreeBuildConfig(k=np.int64(4), greedy_threshold=np.int32(50), seed=np.uint64(3), lloyd_max_iters=np.int8(5))
+    assert cfg.k == 4 and cfg.greedy_threshold == 50
+
+
 def test_built_tree_validates():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(37, 3)).astype(np.float32)

@@ -165,6 +165,14 @@ def test_beam_config_invariants():
         BeamConfig(beam_width=0, top_n=0)
 
 
+@pytest.mark.parametrize("beam_width,top_n", [(3.5, 2), (3, 2.0), (True, True), (4, "2")])
+def test_beam_config_refuses_non_integer_fields(beam_width, top_n):
+    bad = "beam_width" if type(beam_width) is not int else "top_n"
+    with pytest.raises(ValueError, match=bad):
+        BeamConfig(beam_width, top_n)
+    assert BeamConfig(np.int64(3), np.int32(2)).top_n == 2
+
+
 def test_single_item_tree():
     t = IdentifierTree.from_paths(2, np.array([[0]], dtype=np.int32))
     out = beam_search(t, scorer_from_table({0: np.zeros(1)}), None, BeamConfig(1, 1))

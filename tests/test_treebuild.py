@@ -119,6 +119,15 @@ def test_item_of_on_a_sparse_tree():
             assert item_of(t, path) == want, path
 
 
+def test_item_of_refuses_non_integer_paths():
+    t = rand_tree(np.random.default_rng(2), 40, 3)
+    path = t.paths[5]
+    assert item_of(t, path) == 5 and item_of(t, path.astype(np.uint8)) == 5
+    for bad in (path + 0.4, path.astype(np.float64), path.astype(bool), [0.0, 1.0]):
+        with pytest.raises(ValueError, match="integers"):
+            item_of(t, bad)
+
+
 def test_item_of_internal_prefix_is_absent():
     X = np.random.default_rng(6).normal(size=(30, 2)).astype(np.float32)
     t = build_tree(X, TreeBuildConfig(k=2, seed=0))
